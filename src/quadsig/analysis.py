@@ -100,6 +100,21 @@ def id_rate_symmetric(sigma2: float, d: float) -> float:
     return id_rate(GaussianPair(sigma2, sigma2), d)
 
 
+def _check_rate(pair: GaussianPair, d: float, rate: float) -> None:
+    """Refuse d outside ((sigma_x - sigma_y)^2, sigma_x2 + sigma_y2) and a rate
+    at or below the identification rate: there the identification exponent
+    and an admissible scheme construction do not exist."""
+    sx = math.sqrt(pair.sigma_x2)
+    sy = math.sqrt(pair.sigma_y2)
+    if not (sx - sy) ** 2 < d < pair.sigma_x2 + pair.sigma_y2:
+        raise DomainError("need (sigma_x - sigma_y)^2 < d < sigma_x2 + sigma_y2")
+    r_id = id_rate(pair, d)
+    if not rate > r_id:
+        raise PreconditionError(
+            f"rate {rate} must exceed the identification rate {r_id:.6f}"
+        )
+
+
 def chi_square_exponent(rho: float) -> float:
     """Large-deviation rate, in bits, of a normalized chi-square at level rho.
 
@@ -154,15 +169,7 @@ def id_exponent(
     constraint treated as closed, followed by coordinate descent to 1e-8
     steps.  Objective accuracy ~1e-6 or better on smooth instances.
     """
-    sx = math.sqrt(pair.sigma_x2)
-    sy = math.sqrt(pair.sigma_y2)
-    if not (sx - sy) ** 2 < d < pair.sigma_x2 + pair.sigma_y2:
-        raise DomainError("need (sigma_x - sigma_y)^2 < d < sigma_x^2 + sigma_y^2")
-    r_id = id_rate(pair, d)
-    if not rate > r_id:
-        raise PreconditionError(
-            f"rate {rate} must exceed the identification rate {r_id:.6f}"
-        )
+    _check_rate(pair, d, rate)
 
     ez_grid = np.arange(1, grid + 1) * (rho_max / grid)
     ez_vals = (ez_grid - 1.0 - np.log(ez_grid)) / (2.0 * math.log(2.0))
@@ -216,15 +223,7 @@ def id_exponent_symmetric(sigma2: float, d: float, rate: float) -> ExponentSolut
     """Identification exponent for equal variances: 1-D minimization over the
     common scale factor rho in [d/(2 sigma2), 1].
     """
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    if not 0.0 < d < 2.0 * sigma2:
-        raise DomainError("need 0 < d < 2*sigma2")
-    r_id = id_rate_symmetric(sigma2, d)
-    if not rate > r_id:
-        raise PreconditionError(
-            f"rate {rate} must exceed the identification rate {r_id:.6f}"
-        )
+    _check_rate(GaussianPair(sigma2, sigma2), d, rate)
 
     lo = d / (2.0 * sigma2)
     hi = 1.0

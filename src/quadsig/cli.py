@@ -24,8 +24,8 @@ from .analysis import (
 )
 from .covering import build_covering, save_covering, verify_covering
 from .errors import DomainError, PreconditionError
-from .scheme import plan_scheme, rate_of
-from .simulate import SourceSpec, estimate_maybe_probability, fit_exponent
+from .scheme import rate_of
+from .simulate import SourceSpec, _schemes, estimate_maybe_probability, fit_exponent
 
 USAGE_ERROR = 2
 REFUSAL = 3
@@ -56,20 +56,19 @@ def _config_header(config: dict) -> str:
     return "# " + json.dumps(config, sort_keys=True)
 
 
+def _flags(args) -> dict:
+    """Every parsed flag but the output path: the command's resolved config."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+
+
 def _cmd_rate(args) -> int:
     pair = GaussianPair(args.sigma_x2, args.sigma_y2)
     value = id_rate(pair, args.d)
     print(_fmt_rate(value))
     if args.out:
-        config = {
-            "command": "rate",
-            "sigma_x2": args.sigma_x2,
-            "sigma_y2": args.sigma_y2,
-            "d": args.d,
-        }
         _emit(
             [
-                _config_header(config),
+                _config_header(_flags(args)),
                 "sigma_x2,sigma_y2,d,id_rate",
                 f"{args.sigma_x2!r},{args.sigma_y2!r},{args.d!r},{_fmt_rate(value)}",
             ],
@@ -121,11 +120,6 @@ def _cmd_sweep(args) -> int:
             lines.append(f"{v!r},{_fmt_rate(r)},{_fmt_rate(rd)}")
     else:  # axis == "rate"
         config.update({"sigma2": args.sigma2, "d": args.d})
-        r_id = id_rate_symmetric(args.sigma2, args.d)
-        if values[0] <= r_id:
-            raise PreconditionError(
-                f"sweep must start above the identification rate {_fmt_rate(r_id)}"
-            )
         lines.append(_config_header(config))
         lines.append("rate,id_exponent")
         for v in values:
@@ -137,12 +131,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_exponent(args) -> int:
     pair = GaussianPair(args.sigma_x2, args.sigma_y2)
-    r_id = id_rate(pair, args.d)
-    if not args.rate > r_id:
-        raise PreconditionError(
-            f"rate {args.rate} is not above the identification rate "
-            f"{_fmt_rate(r_id)}; no exponent exists there"
-        )
     sol = id_exponent(pair, args.d, args.rate)
     ceiling = similarity_exponent(pair, args.d)
     print(f"id_exponent: {sol.value:.9f} bits/symbol")
@@ -152,16 +140,9 @@ def _cmd_exponent(args) -> int:
     print(f"on_sum_boundary: {sol.on_sum_boundary}")
     print(f"similarity_exponent_ceiling: {ceiling:.9f} bits/symbol")
     if args.out:
-        config = {
-            "command": "exponent",
-            "sigma_x2": args.sigma_x2,
-            "sigma_y2": args.sigma_y2,
-            "d": args.d,
-            "rate": args.rate,
-        }
         _emit(
             [
-                _config_header(config),
+                _config_header(_flags(args)),
                 "rate,id_exponent,rho_x,rho_y,similarity_exponent",
                 f"{args.rate!r},{sol.value:.9f},{sol.rho_x:.9f},{sol.rho_y:.9f},"
                 f"{ceiling:.9f}",
@@ -188,28 +169,9 @@ def _cmd_simulate(args) -> int:
     if not n_list:
         raise ValueError("empty --n-list")
     pair = GaussianPair(args.sigma_x2, args.sigma_y2)
-    r_id = id_rate(pair, args.d)
-    if not args.rate > r_id:
-        raise PreconditionError(
-            f"rate {args.rate} is not above the identification rate {_fmt_rate(r_id)}"
-        )
     spec_x = SourceSpec(args.dist_x, args.sigma_x2)
     spec_y = SourceSpec(args.dist_y, args.sigma_y2)
-    config = {
-        "command": "simulate",
-        "n_list": n_list,
-        "rate": args.rate,
-        "d": args.d,
-        "sigma_x2": args.sigma_x2,
-        "sigma_y2": args.sigma_y2,
-        "dist_x": args.dist_x,
-        "dist_y": args.dist_y,
-        "trials": args.trials,
-        "seed": args.seed,
-        "mode": args.mode,
-        "epsilon": args.epsilon,
-        "audit_samples": args.audit_samples,
-    }
+    config = {**_flags(args), "n_list": n_list}
     exp_id = (
         f"{args.dist_x}_{args.dist_y}_r{args.rate:g}_d{args.d:g}_s{args.seed}"
     )
@@ -219,13 +181,13 @@ def _cmd_simulate(args) -> int:
         "false_negatives,seed",
     ]
     violations = 0
-    for k, n in enumerate(n_list):
-        plan = plan_scheme(pair, args.d, args.rate, n, args.epsilon, mode=args.mode)
-        code = build_covering(
-            n, args.sigma_x2, plan.d0, args.seed + 1000 * (k + 1), args.audit_samples
-        )
+    schemes = _schemes(
+        pair, args.d, args.rate, n_list, args.epsilon, args.mode,
+        args.audit_samples, args.seed,
+    )
+    for n, plan, code, trial_seed in schemes:
         est = estimate_maybe_probability(
-            plan.config, code, spec_x, spec_y, args.trials, args.seed + k
+            plan.config, code, spec_x, spec_y, args.trials, trial_seed
         )
         violations += est.false_negative_count
         lines.append(

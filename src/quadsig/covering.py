@@ -8,6 +8,9 @@ center is at most theta0 = arcsin(sqrt(d0 / sigma2)).
 The builder cannot certify complete coverage the way an explicit covering
 construction can; the consuming scheme treats any uncovered direction as an
 erasure, so coverage gaps cost extra maybe-mass, never correctness.
+
+Building, verifying and signature assignment all search the centers through
+the one row-tiled kernel `_nearest`.
 """
 
 from __future__ import annotations
@@ -36,26 +39,29 @@ _BATCH = 8192  # fixed so the sample stream is reproducible
 _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
 
 
-def _max_cos(units: np.ndarray, m: int, block: np.ndarray, buf, best) -> np.ndarray:
-    """Max cosine of each block row against the first m unit centers.
+def _nearest(units, m, block, buf) -> tuple[np.ndarray, np.ndarray]:
+    """(index, cosine) of the nearest of the first m unit centers for each
+    row of a block of at most _BATCH unit rows.
 
-    Chunks over centers into a preallocated (chunk, batch) buffer; fresh
-    allocation of the full cosine matrix dominates runtime otherwise.
+    Row-tiled: each center chunk's cosines land in a (rows, chunk) view of the
+    flat workspace `buf` (at least rows * _CENTER_CHUNK floats), so the argmax
+    runs along contiguous rows.  Ties break to the lowest index because only a
+    strictly larger cosine replaces the incumbent.
     """
-    block_t = block.T
     b = block.shape[0]
-    full = b == buf.shape[1]
-    out = best[:b]
-    out.fill(-2.0)
+    idx = np.zeros(b, dtype=np.int64)
+    best = np.full(b, -2.0)
+    rows = np.arange(b)
     for lo in range(0, m, _CENTER_CHUNK):
         k = min(_CENTER_CHUNK, m - lo)
-        if full:
-            np.dot(units[lo : lo + k], block_t, out=buf[:k])
-            chunk_max = buf[:k].max(axis=0)
-        else:  # partial tail block; out= needs a contiguous buffer
-            chunk_max = np.dot(units[lo : lo + k], block_t).max(axis=0)
-        np.maximum(out, chunk_max, out=out)
-    return out
+        cos = buf[: b * k].reshape(b, k)
+        np.dot(block, units[lo : lo + k].T, out=cos)
+        loc = cos.argmax(axis=1)
+        val = cos[rows, loc]
+        upd = val > best
+        idx[upd] = lo + loc[upd]
+        best[upd] = val[upd]
+    return idx, best
 
 
 @dataclass(frozen=True)
@@ -164,19 +170,14 @@ def build_covering(
     cos_thr = math.sqrt((sigma2 - d0) / sigma2)
     cap = 1024
     units = np.empty((cap, n))
-    buf = np.empty((_CENTER_CHUNK, _BATCH))
-    best = np.empty(_BATCH)
+    buf = np.empty(_BATCH * _CENTER_CHUNK)
     m = 0
     consec = 0
     done = False
     while not done:
         block = rng.standard_normal((_BATCH, n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        if m:
-            covered = _max_cos(units, m, block, buf, best) >= cos_thr
-            misses = np.flatnonzero(~covered)
-        else:
-            misses = np.arange(_BATCH)
+        misses = np.flatnonzero(_nearest(units, m, block, buf)[1] < cos_thr)
         start_m = m
         pos = 0
         for i in misses:
@@ -187,10 +188,7 @@ def build_covering(
             consec += run
             # re-check against centers added earlier in this same batch
             if m > start_m and (units[start_m:m] @ block[i]).max() >= cos_thr:
-                consec += 1
-                if consec >= audit_samples:
-                    done = True
-                    break
+                consec += 1  # a full run is caught by the next run check
             else:
                 consec = 0
                 if m == cap:
@@ -218,15 +216,14 @@ def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringRepo
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cos_thr = code.cos_theta0
-    buf = np.empty((_CENTER_CHUNK, _BATCH))
-    best = np.empty(_BATCH)
+    buf = np.empty(_BATCH * _CENTER_CHUNK)
     covered = 0
     remaining = samples
     while remaining > 0:
         b = min(_BATCH, remaining)
         block = rng.standard_normal((b, code.n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        cos = _max_cos(code._units, code.size, block, buf, best)
+        _, cos = _nearest(code._units, code.size, block, buf)
         covered += int((cos >= cos_thr).sum())
         remaining -= b
     return CoveringReport(
@@ -249,28 +246,23 @@ def nearest_center(code: CoveringCode, x) -> tuple[int, float]:
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise ValueError("x must be nonzero")
-    cos = code._units @ (x / norm)
-    idx = int(np.argmax(cos))
-    return idx, math.acos(min(1.0, max(-1.0, float(cos[idx]))))
+    block = (x / norm)[None, :]
+    idx, cos = _nearest(code._units, code.size, block, np.empty(_CENTER_CHUNK))
+    return int(idx[0]), math.acos(min(1.0, max(-1.0, float(cos[0]))))
 
 
-def save_covering(code: CoveringCode, path) -> None:
-    """Write the code as self-describing JSON; floats round-trip exactly."""
-    payload = {
+def _covering_payload(code: CoveringCode) -> dict:
+    """The JSON object that describes a code; floats round-trip exactly."""
+    return {
         "n": code.n,
         "sigma2": code.sigma2,
         "d0": code.d0,
         "seed": code.seed,
         "centers": code.centers.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
 
 
-def load_covering(path) -> CoveringCode:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+def _covering_from_payload(payload: dict) -> CoveringCode:
     return CoveringCode(
         n=int(payload["n"]),
         sigma2=payload["sigma2"],
@@ -278,3 +270,15 @@ def load_covering(path) -> CoveringCode:
         centers=np.asarray(payload["centers"], dtype=float),
         seed=payload.get("seed"),
     )
+
+
+def save_covering(code: CoveringCode, path) -> None:
+    """Write the code as self-describing JSON; floats round-trip exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_covering_payload(code), fh)
+        fh.write("\n")
+
+
+def load_covering(path) -> CoveringCode:
+    with open(path, encoding="utf-8") as fh:
+        return _covering_from_payload(json.load(fh))

@@ -2,7 +2,8 @@
 
 Angles are radians throughout.  A "thick cap" is the intersection of a cone
 about an axis with the shell between two radii; it is the geometric footprint
-of one signature cell, and the query test reduces to a point-to-cap distance.
+of one signature cell, and the query test reduces to a point-to-cap distance,
+computed for a whole batch of points by one vectorized function.
 """
 
 from __future__ import annotations
@@ -193,22 +194,39 @@ def expansion_cone_angle(
     )
 
 
-def min_distance_to_thick_cap(y, cap: CapSpec) -> float:
-    """Minimum Euclidean distance from y to a thick cap with half-angle <= pi/2.
+def _cap_distances(Y, axes, half_angle, inner, outer) -> np.ndarray:
+    """Minimum Euclidean distance from each row of Y to the thick cap about
+    the matching unit row of `axes` (half-angle <= pi/2, radii broadcast).
 
     Reduces to polar coordinates in the plane spanned by the axis and y: the
     nearest cap point has angular coordinate min(beta, half_angle) and radial
-    coordinate clamp(s cos(beta - phi*), inner, outer).
+    coordinate clamp(s cos(beta - phi*), inner, outer).  A zero row counts as
+    on the axis; a non-finite row gives NaN.
     """
+    s = np.linalg.norm(Y, axis=1)
+    s_safe = np.where(s > 0.0, s, 1.0)
+    cosb = np.einsum("ij,ij->i", Y / s_safe[:, None], axes)
+    beta = np.arccos(np.clip(cosb, -1.0, 1.0))
+    beta = np.where(s > 0.0, beta, 0.0)
+    delta = np.maximum(beta - half_angle, 0.0)
+    r = np.clip(s * np.cos(delta), inner, outer)
+    d2 = s * s + r * r - 2.0 * s * r * np.cos(delta)
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def min_distance_to_thick_cap(y, cap: CapSpec) -> float:
+    """Minimum Euclidean distance from a nonzero y to a thick cap with
+    half-angle <= pi/2."""
     if cap.half_angle > math.pi / 2:
         raise ValueError("half_angle above pi/2 is not supported")
     y = _check_vector(y, "y")
-    s = float(np.linalg.norm(y))
-    if s == 0.0:
+    if y.shape != cap.axis.shape:
+        raise ValueError(f"dimension mismatch: {y.size} vs {cap.axis.size}")
+    if np.linalg.norm(y) == 0.0:
         raise ValueError("y must be nonzero")
-    beta = angle_between(y, cap.axis)
-    phi = min(beta, cap.half_angle)
-    delta = beta - phi
-    r = min(max(s * math.cos(delta), cap.inner_radius), cap.outer_radius)
-    d2 = s * s + r * r - 2.0 * s * r * math.cos(delta)
-    return math.sqrt(max(0.0, d2))
+    axis = cap.axis / np.linalg.norm(cap.axis)
+    return float(
+        _cap_distances(
+            y[None, :], axis[None, :], cap.half_angle, cap.inner_radius, cap.outer_radius
+        )[0]
+    )

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .analysis import GaussianPair, id_rate
-from .covering import CoveringCode
-from .errors import DomainError, PreconditionError
-from .geometry import CapSpec, expansion_cone_angle
+from .analysis import GaussianPair, _check_rate
+from .covering import CoveringCode, _covering_from_payload, _covering_payload, _nearest
+from .covering import _BATCH, _CENTER_CHUNK
+from .errors import PreconditionError
+from .geometry import CapSpec, _cap_distances, _check_vector, expansion_cone_angle
 
 __all__ = [
     "SchemeConfig",
@@ -81,21 +82,21 @@ class SchemeConfig:
             return 1
         return int(math.ceil(self.sigma_max2 / self.eta))
 
-    def shell_radii(self, index: int) -> tuple[float, float]:
-        """(inner, outer) radius of amplitude shell `index`."""
+    def shell_radii(self, index):
+        """(inner, outer) radius of amplitude shell `index`; an array of
+        indices gives arrays of radii."""
+        index = np.asarray(index)
         if self.mode == "basic":
-            if index != 0:
+            if np.any(index != 0):
                 raise ValueError("basic mode has a single shell, index 0")
-            return (
-                math.sqrt(self.n * (self.sigma_x2 - self.eta)),
-                math.sqrt(self.n * (self.sigma_x2 + self.eta)),
-            )
-        if not 0 <= index < self.num_shells:
-            raise ValueError(f"shell index {index} out of range")
-        return (
-            math.sqrt(self.n * index * self.eta),
-            math.sqrt(self.n * (index + 1) * self.eta),
-        )
+            inner2 = np.full(index.shape, self.n * (self.sigma_x2 - self.eta))
+            outer2 = np.full(index.shape, self.n * (self.sigma_x2 + self.eta))
+        else:
+            if np.any((index < 0) | (index >= self.num_shells)):
+                raise ValueError(f"shell index {index} out of range")
+            inner2 = self.n * index * self.eta
+            outer2 = self.n * (index + 1) * self.eta
+        return np.sqrt(inner2), np.sqrt(outer2)
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,7 @@ def query(config: SchemeConfig, code: CoveringCode, sig: Signature, y) -> Verdic
     y = np.asarray(y, dtype=float)
     if y.shape != (config.n,):
         raise ValueError(f"expected a vector of dimension {config.n}")
+    _check_vector(y, "y")
     if sig.is_erasure:
         return Verdict.MAYBE
     maybe = query_many(
@@ -176,40 +178,6 @@ def query(config: SchemeConfig, code: CoveringCode, sig: Signature, y) -> Verdic
         y[None, :],
     )
     return Verdict.MAYBE if maybe[0] else Verdict.NO
-
-
-_SAMPLE_BATCH = 8192
-_CENTER_CHUNK = 512
-
-
-def _nearest_many(code: CoveringCode, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index, cosine) of the nearest center for each unit row.
-
-    Center-chunked with reused buffers; ties break to the lowest index
-    because only strictly larger cosines replace the incumbent.
-    """
-    m = units.shape[0]
-    idx = np.zeros(m, dtype=np.int64)
-    best = np.full(m, -2.0)
-    buf = np.empty((_CENTER_CHUNK, min(m, _SAMPLE_BATCH)))
-    for lo in range(0, m, _SAMPLE_BATCH):
-        hi = min(m, lo + _SAMPLE_BATCH)
-        block_t = units[lo:hi].T
-        b = hi - lo
-        cols = np.arange(b)
-        for clo in range(0, code.size, _CENTER_CHUNK):
-            k = min(_CENTER_CHUNK, code.size - clo)
-            if b == buf.shape[1]:
-                np.dot(code._units[clo : clo + k], block_t, out=buf[:k])
-                cos = buf[:k]
-            else:
-                cos = np.dot(code._units[clo : clo + k], block_t)
-            loc = np.argmax(cos, axis=0)
-            val = cos[loc, cols]
-            upd = val > best[lo:hi]
-            idx[lo:hi][upd] = clo + loc[upd]
-            best[lo:hi][upd] = val[upd]
-    return idx, best
 
 
 def assign_many(
@@ -237,7 +205,15 @@ def assign_many(
     erased |= norm2 == 0.0
 
     norms = np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
-    centers_idx, cos_best = _nearest_many(code, X / norms[:, None])
+    units = X / norms[:, None]
+    centers_idx = np.empty(m, dtype=np.int64)
+    cos_best = np.empty(m)
+    buf = np.empty(min(m, _BATCH) * _CENTER_CHUNK)
+    for lo in range(0, m, _BATCH):
+        rows = slice(lo, lo + _BATCH)
+        centers_idx[rows], cos_best[rows] = _nearest(
+            code._units, code.size, units[rows], buf
+        )
     erased |= cos_best < code.cos_theta0
     return centers_idx, shells, erased
 
@@ -250,32 +226,21 @@ def query_many(
     erased: np.ndarray,
     Y: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized query over signature/query-point rows; True means maybe."""
+    """Vectorized query over signature/query-point rows; True means maybe.
+
+    A row whose query point is not finite answers maybe.
+    """
     Y = np.asarray(Y, dtype=float)
-    m = Y.shape[0]
-    maybe = np.ones(m, dtype=bool)
+    maybe = np.ones(Y.shape[0], dtype=bool)
     live = np.flatnonzero(~np.asarray(erased, dtype=bool))
     if live.size == 0:
         return maybe
-    s = np.linalg.norm(Y[live], axis=1)
-    s_safe = np.where(s > 0.0, s, 1.0)
-    axes = code._units[centers_idx[live]]
-    cosb = np.einsum("ij,ij->i", Y[live] / s_safe[:, None], axes)
-    beta = np.arccos(np.clip(cosb, -1.0, 1.0))
-    beta = np.where(s > 0.0, beta, 0.0)
-    delta = np.maximum(beta - code.theta0, 0.0)
-
-    if config.mode == "basic":
-        inner = np.full(live.size, math.sqrt(config.n * (config.sigma_x2 - config.eta)))
-        outer = np.full(live.size, math.sqrt(config.n * (config.sigma_x2 + config.eta)))
-    else:
-        si = shells_idx[live].astype(float)
-        inner = np.sqrt(config.n * si * config.eta)
-        outer = np.sqrt(config.n * (si + 1.0) * config.eta)
-    r = np.clip(s * np.cos(delta), inner, outer)
-    d2 = s * s + r * r - 2.0 * s * r * np.cos(delta)
-    dist = np.sqrt(np.maximum(d2, 0.0))
-    maybe[live] = dist <= math.sqrt(config.n * config.d)
+    inner, outer = config.shell_radii(shells_idx[live])
+    dist = _cap_distances(
+        Y[live], code._units[centers_idx[live]], code.theta0, inner, outer
+    )
+    # written so that a NaN distance (non-finite y) lands on "maybe"
+    maybe[live] = ~(dist > math.sqrt(config.n * config.d))
     return maybe
 
 
@@ -304,15 +269,7 @@ def plan_scheme(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    sx = math.sqrt(pair.sigma_x2)
-    sy = math.sqrt(pair.sigma_y2)
-    if not (sx - sy) ** 2 < d < pair.sigma_x2 + pair.sigma_y2:
-        raise DomainError("need (sigma_x - sigma_y)^2 < d < sigma_x2 + sigma_y2")
-    r_id = id_rate(pair, d)
-    if not target_rate > r_id:
-        raise PreconditionError(
-            f"target_rate {target_rate} must exceed the identification rate {r_id:.6f}"
-        )
+    _check_rate(pair, d, target_rate)
 
     def bracket(eta: float) -> float:
         return (pair.sigma_x2 + pair.sigma_y2 - 2.0 * eta - d) / (
@@ -372,45 +329,22 @@ def plan_scheme(
 
 def save_scheme(config: SchemeConfig, code: CoveringCode, path) -> None:
     """Persist a scheme config alongside its covering code in one JSON file."""
-    scheme_part = {
-        "n": config.n,
-        "d": config.d,
-        "sigma_x2": config.sigma_x2,
-        "eta": config.eta,
-        "mode": config.mode,
-        "sigma_max2": config.sigma_max2,
-        "d0": code.d0,
-    }
-    covering_part = {
-        "n": code.n,
-        "sigma2": code.sigma2,
-        "d0": code.d0,
-        "seed": code.seed,
-        "centers": code.centers.tolist(),
-    }
+    scheme_part = {**asdict(config), "d0": code.d0}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"scheme": scheme_part, "covering": covering_part}, fh)
+        json.dump({"scheme": scheme_part, "covering": _covering_payload(code)}, fh)
         fh.write("\n")
 
 
 def load_scheme(path) -> tuple[SchemeConfig, CoveringCode]:
+    """Read a save_scheme file; the scheme's n and d0 must match its covering."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     s = payload["scheme"]
-    config = SchemeConfig(
-        n=int(s["n"]),
-        d=s["d"],
-        sigma_x2=s["sigma_x2"],
-        eta=s["eta"],
-        mode=s["mode"],
-        sigma_max2=s["sigma_max2"],
-    )
-    c = payload["covering"]
-    code = CoveringCode(
-        n=int(c["n"]),
-        sigma2=c["sigma2"],
-        d0=c["d0"],
-        centers=np.asarray(c["centers"], dtype=float),
-        seed=c.get("seed"),
-    )
+    config = SchemeConfig(**{f.name: s[f.name] for f in fields(SchemeConfig)})
+    code = _covering_from_payload(payload["covering"])
+    if config.n != code.n or s["d0"] != code.d0:
+        raise ValueError(
+            f"scheme (n={config.n}, d0={s['d0']}) does not match its covering "
+            f"(n={code.n}, d0={code.d0})"
+        )
     return config, code

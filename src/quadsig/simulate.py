@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import GaussianPair, id_rate
+from .analysis import GaussianPair, _check_rate
 from .covering import CoveringCode, build_covering
 from .errors import DegenerateDataError, PreconditionError
 from .scheme import SchemeConfig, assign_many, plan_scheme, query_many
@@ -81,18 +81,31 @@ class ExponentFit:
     points: list[tuple[int, float]]
 
 
-def _wilson(hits: int, trials: int) -> tuple[float, float, float]:
-    """95% Wilson interval; zero counts get the rule-of-three upper bound."""
+def _estimate(hits: int, trials: int, false_negatives: int = 0) -> TrialEstimate:
+    """hits / trials with its 95% Wilson interval; zero counts get the
+    rule-of-three upper bound."""
     p = hits / trials
     if hits == 0:
-        return p, 0.0, min(1.0, 3.0 / trials)
-    if hits == trials:
-        return p, max(0.0, 1.0 - 3.0 / trials), 1.0
-    z = 1.959963984540054
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return p, max(0.0, center - half), min(1.0, center + half)
+        lo, hi = 0.0, min(1.0, 3.0 / trials)
+    elif hits == trials:
+        lo, hi = max(0.0, 1.0 - 3.0 / trials), 1.0
+    else:
+        z = 1.959963984540054
+        denom = 1.0 + z * z / trials
+        center = (p + z * z / (2 * trials)) / denom
+        spread = p * (1.0 - p) / trials + z * z / (4 * trials * trials)
+        half = z * math.sqrt(spread) / denom
+        lo, hi = max(0.0, center - half), min(1.0, center + half)
+    return TrialEstimate(p, trials, lo, hi, false_negatives)
+
+
+def _maybe_and_false_negatives(config, code, X, Y) -> tuple[int, int]:
+    """Number of pairs (rows of X, Y) that get "maybe", and number of d-similar
+    pairs that get "no" (false negatives, which must never occur)."""
+    ci, si, er = assign_many(config, code, X)
+    maybe = query_many(config, code, ci, si, er, Y)
+    dxy = np.einsum("ij,ij->i", X - Y, X - Y) / config.n
+    return int(maybe.sum()), int((~maybe & (dxy <= config.d)).sum())
 
 
 def sample_pair(
@@ -153,17 +166,10 @@ def estimate_maybe_probability(
     def worker(rng: np.random.Generator, count: int):
         X = spec_x.draw(rng, (count, config.n))
         Y = spec_y.draw(rng, (count, config.n))
-        ci, si, er = assign_many(config, code, X)
-        maybe = query_many(config, code, ci, si, er, Y)
-        dxy = np.einsum("ij,ij->i", X - Y, X - Y) / config.n
-        fn = int((~maybe & (dxy <= config.d)).sum())
-        return int(maybe.sum()), fn
+        return _maybe_and_false_negatives(config, code, X, Y)
 
     hits, fn = _run_sharded(trials, seed, worker)
-    p, lo, hi = _wilson(hits, trials)
-    return TrialEstimate(
-        p_hat=p, trials=trials, ci_low=lo, ci_high=hi, false_negative_count=fn
-    )
+    return _estimate(hits, trials, fn)
 
 
 def estimate_similarity_probability(
@@ -183,10 +189,7 @@ def estimate_similarity_probability(
         return (int((dxy <= d).sum()),)
 
     (hits,) = _run_sharded(trials, seed, worker)
-    p, lo, hi = _wilson(hits, trials)
-    return TrialEstimate(
-        p_hat=p, trials=trials, ci_low=lo, ci_high=hi, false_negative_count=0
-    )
+    return _estimate(hits, trials)
 
 
 def audit_admissibility(
@@ -218,17 +221,10 @@ def audit_admissibility(
         radius[: nb // 2] = edge * (1.0 - 1e-9)
         radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
         Y = X + radius[:, None] * U
-        ci, si, er = assign_many(config, code, X)
-        maybe = query_many(config, code, ci, si, er, Y)
-        dxy = np.einsum("ij,ij->i", X - Y, X - Y) / config.n
-        fn = int((~maybe & (dxy <= config.d)).sum())
-        return int(maybe.sum()), fn
+        return _maybe_and_false_negatives(config, code, X, Y)
 
     hits, fn = _run_sharded(trials, seed, worker)
-    p, lo, hi = _wilson(hits, trials)
-    return TrialEstimate(
-        p_hat=p, trials=trials, ci_low=lo, ci_high=hi, false_negative_count=fn
-    )
+    return _estimate(hits, trials, fn)
 
 
 def fit_exponent(points: list[tuple[int, float]]) -> ExponentFit:
@@ -258,6 +254,21 @@ def chi_square_tail_bound(n: int, sigma2: float) -> float:
     return math.exp(-n * n / 4.0) * 2.0 ** (n / 2.0)
 
 
+def _schemes(pair, d, target_rate, n_list, epsilon, mode, audit_samples, seed):
+    """Plan and build the scheme for each blocklength in turn, yielding
+    (n, plan, code, trial_seed).
+
+    The k-th covering is seeded with seed + 1000 (k + 1) and its trials with
+    seed + k, so a run is reproducible from `seed` alone.
+    """
+    for k, n in enumerate(n_list):
+        plan = plan_scheme(pair, d, target_rate, n, epsilon, mode=mode)
+        code = build_covering(
+            n, pair.sigma_x2, plan.d0, seed + 1000 * (k + 1), audit_samples
+        )
+        yield n, plan, code, seed + k
+
+
 def robustness_experiment(
     pair: GaussianPair,
     d: float,
@@ -282,19 +293,10 @@ def robustness_experiment(
         raise PreconditionError("spec_x variance must match pair.sigma_x2")
     if not math.isclose(spec_y.variance, pair.sigma_y2, rel_tol=1e-12):
         raise PreconditionError("spec_y variance must match pair.sigma_y2")
-    r_id = id_rate(pair, d)
-    if not target_rate > r_id:
-        raise PreconditionError(
-            f"target_rate {target_rate} must exceed the identification rate {r_id:.6f}"
+    _check_rate(pair, d, target_rate)
+    return [
+        (n, estimate_maybe_probability(plan.config, code, spec_x, spec_y, trials, s))
+        for n, plan, code, s in _schemes(
+            pair, d, target_rate, n_list, epsilon, mode, audit_samples, seed
         )
-    out = []
-    for k, n in enumerate(n_list):
-        plan = plan_scheme(pair, d, target_rate, n, epsilon, mode=mode)
-        code = build_covering(
-            n, pair.sigma_x2, plan.d0, seed + 1000 * (k + 1), audit_samples
-        )
-        est = estimate_maybe_probability(
-            plan.config, code, spec_x, spec_y, trials, seed + k
-        )
-        out.append((n, est))
-    return out
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -232,3 +233,51 @@ class TestSimulateAndFit:
                          "--out", str(tmp_path / "fn.csv"))
         assert rc == 4
         assert "admissibility" in err
+
+
+class TestGoldenOutputs:
+    """Byte-for-byte seeded outputs: a refactor must not move them, and a
+    change that does must re-record them on purpose.
+
+    Recorded with OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH) on an
+    x86-64 Xeon; another BLAS build may round dot products differently and
+    legitimately change these bytes.
+    """
+
+    SIMULATE = (
+        '# {"audit_samples": 2000, "command": "simulate", "d": 0.1, '
+        '"dist_x": "gaussian", "dist_y": "gaussian", "epsilon": 0.1, '
+        '"mode": "basic", "n_list": [8, 16], "rate": 0.65, "seed": 3, '
+        '"sigma_x2": 1.0, "sigma_y2": 1.0, "trials": 5000}\n'
+        "experiment_id,n,rate,d,family_x,family_y,trials,p_hat,ci_low,ci_high,"
+        "false_negatives,seed\n"
+        "gaussian_gaussian_r0.65_d0.1_s3,8,0.651182,0.1,gaussian,gaussian,5000,"
+        "0.9706,0.9655443196141249,0.9749331193151876,0,3\n"
+        "gaussian_gaussian_r0.65_d0.1_s3,16,0.473116,0.1,gaussian,gaussian,5000,"
+        "0.952,0.9457199288603764,0.957586068581292,0,3\n"
+    )
+    COVER = (
+        "centers: 315\n"
+        "rate: 1.037401 bits/symbol\n"
+        "bound: 0.500000 bits/symbol\n"
+        "overhead_budget: 2.375000 bits/symbol\n"
+        "sampled_coverage: 0.999980 (100000 samples)\n"
+    )
+    COVER_FILE_SHA256 = (
+        "6c2c23ad902d1f07c9c0f058ebd28da1631529934e857d382b9330afe0fcd76c"
+    )
+
+    def test_simulate(self, capsys):
+        rc, out, _ = run(capsys, "simulate", "--n-list", "8,16", "--rate", "0.65",
+                         "--d", "0.1", "--trials", "5000", "--seed", "3",
+                         "--audit-samples", "2000")
+        assert rc == 0
+        assert out == self.SIMULATE
+
+    def test_cover(self, capsys, tmp_path):
+        path = tmp_path / "cover.json"
+        rc, out, _ = run(capsys, "cover", "--n", "8", "--sigma2", "1", "--d0", "0.5",
+                         "--seed", "7", "--out", str(path))
+        assert rc == 0
+        assert out == self.COVER
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.COVER_FILE_SHA256

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from quadsig.covering import (
+    _BATCH,
+    _CENTER_CHUNK,
     CoveringCode,
     build_covering,
     load_covering,
@@ -15,6 +17,7 @@ from quadsig.covering import (
     verify_covering,
 )
 from quadsig.geometry import cap_fraction_exact
+from quadsig.scheme import SchemeConfig, assign_many
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +135,40 @@ class TestNearestCenter:
             nearest_center(small_code, np.zeros(8))
         with pytest.raises(ValueError):
             nearest_center(small_code, np.ones(5))
+
+    def test_chunk_and_batch_boundaries_match_full_argmax(self):
+        # Directions with four +-1/2 entries: every cosine between them is a
+        # sum of at most four +-1/4 terms, so it is exact in any summation
+        # order and the full-matrix argmax is an exact reference.  Ties are
+        # everywhere, and a duplicated center sits on each side of every
+        # chunk boundary.
+        n = 16
+        rng = np.random.default_rng(5)
+
+        def dyadic_units(count):
+            units = np.zeros((count, n))
+            for row in units:
+                row[rng.choice(n, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
+            return units
+
+        units = dyadic_units(2 * _CENTER_CHUNK + 100)
+        for lo in (_CENTER_CHUNK, 2 * _CENTER_CHUNK):
+            units[lo] = units[lo - 1]
+        # center norm sqrt(16 * (1.25 - 0.25)) = 4 keeps the unit rows exact
+        code = CoveringCode(n=n, sigma2=1.25, d0=0.25, centers=4.0 * units)
+        tied = units[[_CENTER_CHUNK - 1, 2 * _CENTER_CHUNK - 1]]
+        rows = np.vstack([dyadic_units(_BATCH + 900), tied])
+        cos = rows @ units.T
+        want = cos.argmax(axis=1)
+        assert want[-2:].tolist() == [_CENTER_CHUNK - 1, 2 * _CENTER_CHUNK - 1]
+
+        config = SchemeConfig(n=n, d=0.5, sigma_x2=1.0, eta=0.5)
+        centers_idx, _, _ = assign_many(config, code, 4.0 * rows)
+        assert np.array_equal(centers_idx, want)
+        for x, k in zip(rows, want):
+            idx, angle = nearest_center(code, x)
+            assert idx == k
+            assert math.cos(angle) == pytest.approx(x @ units[k], abs=1e-12)
 
 
 class TestSerialization:

@@ -306,3 +306,58 @@ class TestSerialization:
         assert set(payload["scheme"]) == {
             "n", "d", "sigma_x2", "eta", "mode", "sigma_max2", "d0",
         }
+
+    def test_mismatched_covering_rejected(self, tmp_path, basic8, code8):
+        path = tmp_path / "scheme.json"
+        save_scheme(basic8, code8, path)
+        for key, value in (("n", 16), ("d0", 0.25)):
+            payload = json.loads(path.read_text())
+            payload["scheme"][key] = value
+            edited = tmp_path / f"edited_{key}.json"
+            edited.write_text(json.dumps(payload))
+            with pytest.raises(ValueError) as exc:
+                load_scheme(edited)
+            assert f"{key}={value}" in str(exc.value)
+            assert f"{key}={getattr(code8, key)}" in str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteInput:
+    """A non-finite query point never gets "no"; a non-finite x is erased."""
+
+    def live_signature(self, config, code):
+        x = code.centers[0] * (math.sqrt(8.0) / np.linalg.norm(code.centers[0]))
+        sig = assign_signature(config, code, x)
+        assert not sig.is_erasure
+        return sig, x
+
+    def bad_points(self):
+        one_nan = np.ones(8)
+        one_nan[3] = np.nan
+        return np.vstack([np.full(8, np.nan), np.full(8, np.inf), one_nan])
+
+    def test_batch_query_answers_maybe(self, basic8, gain8, code8):
+        for config in (basic8, gain8):
+            sig, x = self.live_signature(config, code8)
+            Y = np.vstack([self.bad_points(), -x])
+            m = Y.shape[0]
+            maybe = query_many(
+                config,
+                code8,
+                np.full(m, sig.center_index),
+                np.full(m, sig.shell_index),
+                np.zeros(m, dtype=bool),
+                Y,
+            )
+            # the finite antipodal point shows the rows are live
+            assert maybe.tolist() == [True, True, True, False]
+
+    def test_scalar_query_rejects(self, basic8, code8):
+        sig, _ = self.live_signature(basic8, code8)
+        for y in self.bad_points():
+            with pytest.raises(ValueError, match="non-finite"):
+                query(basic8, code8, sig, y)
+
+    def test_nan_x_is_erased(self, basic8, gain8, code8):
+        for config in (basic8, gain8):
+            assert assign_signature(config, code8, np.full(8, np.nan)) is ERASURE
