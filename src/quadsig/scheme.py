@@ -186,35 +186,39 @@ def assign_many(
     """Vectorized assign_signature over the rows of X.
 
     Returns (center_idx, shell_idx, erased); center/shell entries are
-    meaningless where erased is set.
+    meaningless where erased is set.  Rows erased by amplitude (out of range,
+    zero or non-finite) are never searched and carry center 0; only the
+    surviving rows, packed together, go through the nearest-center kernel.
     """
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
     norm2 = np.einsum("ij,ij->i", X, X)
     s2 = norm2 / config.n
+    erased = (norm2 == 0.0) | ~np.isfinite(norm2)
     if config.mode == "basic":
-        erased = (s2 < config.sigma_x2 - config.eta) | (
+        erased |= (s2 < config.sigma_x2 - config.eta) | (
             s2 > config.sigma_x2 + config.eta
         )
         shells = np.zeros(m, dtype=np.int64)
     else:
-        erased = s2 > config.sigma_max2
+        erased |= s2 > config.sigma_max2
+        # erased rows get shell 0, so NaN and inf are never cast to int64
         shells = np.minimum(
-            np.floor(s2 / config.eta).astype(np.int64), config.num_shells - 1
+            np.floor(np.where(erased, 0.0, s2) / config.eta).astype(np.int64),
+            config.num_shells - 1,
         )
-    erased |= norm2 == 0.0
 
-    norms = np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
-    units = X / norms[:, None]
-    centers_idx = np.empty(m, dtype=np.int64)
-    cos_best = np.empty(m)
-    buf = np.empty(min(m, _BATCH) * _CENTER_CHUNK)
-    for lo in range(0, m, _BATCH):
-        rows = slice(lo, lo + _BATCH)
-        centers_idx[rows], cos_best[rows] = _nearest(
-            code._units, code.size, units[rows], buf
+    live = np.flatnonzero(~erased)
+    units = X[live]
+    units /= np.sqrt(norm2[live])[:, None]
+    centers_idx = np.zeros(m, dtype=np.int64)
+    buf = np.empty(min(live.size, _BATCH) * _CENTER_CHUNK)
+    for lo in range(0, live.size, _BATCH):
+        rows = live[lo : lo + _BATCH]
+        centers_idx[rows], cos_best = _nearest(
+            code._units, code.size, units[lo : lo + _BATCH], buf
         )
-    erased |= cos_best < code.cos_theta0
+        erased[rows] = cos_best < code.cos_theta0
     return centers_idx, shells, erased
 
 
@@ -228,18 +232,20 @@ def query_many(
 ) -> np.ndarray:
     """Vectorized query over signature/query-point rows; True means maybe.
 
-    A row whose query point is not finite answers maybe.
+    A row whose query point is not finite, or so large that its squared norm
+    overflows, answers maybe without reaching the cap-distance formula.
     """
     Y = np.asarray(Y, dtype=float)
     maybe = np.ones(Y.shape[0], dtype=bool)
-    live = np.flatnonzero(~np.asarray(erased, dtype=bool))
+    finite = np.isfinite(np.einsum("ij,ij->i", Y, Y))
+    live = np.flatnonzero(~np.asarray(erased, dtype=bool) & finite)
     if live.size == 0:
         return maybe
     inner, outer = config.shell_radii(shells_idx[live])
     dist = _cap_distances(
         Y[live], code._units[centers_idx[live]], code.theta0, inner, outer
     )
-    # written so that a NaN distance (non-finite y) lands on "maybe"
+    # written so that a NaN distance would still land on "maybe"
     maybe[live] = ~(dist > math.sqrt(config.n * config.d))
     return maybe
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import grid_min_distance
+import quadsig.scheme as scheme_module
 from quadsig.analysis import GaussianPair, id_rate
-from quadsig.covering import build_covering
+from quadsig.covering import _BATCH, _nearest, build_covering
 from quadsig.errors import DomainError, PreconditionError
 from quadsig.geometry import min_distance_to_thick_cap
 from quadsig.scheme import (
@@ -120,6 +121,61 @@ class TestAssignSignature:
             assert sig.is_erasure == bool(er[row])
             if not sig.is_erasure:
                 assert (sig.center_index, sig.shell_index) == (ci[row], si[row])
+
+
+def amplitude_live(config, X):
+    s2 = np.einsum("ij,ij->i", X, X) / config.n
+    if config.mode == "basic":
+        lo, hi = config.sigma_x2 - config.eta, config.sigma_x2 + config.eta
+        live = (s2 >= lo) & (s2 <= hi)
+    else:
+        live = s2 <= config.sigma_max2
+    return live & (s2 > 0.0)
+
+
+class TestSkipErasedRows:
+    """assign_many searches only the rows that survive the amplitude test."""
+
+    def mixed_rows(self, m, seed):
+        # rows near the typical shell, except that every third row sits far
+        # outside both modes' amplitude range and some rows are zero
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, 8))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X *= math.sqrt(8.0) * rng.uniform(0.95, 1.05, (m, 1))
+        X[::3] *= 4.0
+        X[1::7] = 0.0
+        return X
+
+    def test_only_live_rows_searched(self, monkeypatch, basic8, gain8, code8):
+        # erased rows are reported erased, with center 0
+        searched = []
+
+        def counting(units, m, block, buf):
+            searched.append(block.shape[0])
+            return _nearest(units, m, block, buf)
+
+        monkeypatch.setattr(scheme_module, "_nearest", counting)
+        X = self.mixed_rows(3000, 51)
+        for config in (basic8, gain8):
+            searched.clear()
+            live = amplitude_live(config, X)
+            assert 0 < live.sum() < len(X)
+            ci, _, er = assign_many(config, code8, X)
+            assert sum(searched) == live.sum()
+            assert er[~live].all()
+            assert (ci[~live] == 0).all()
+
+    def test_packed_batches_match_live_only_input(self, basic8, gain8, code8):
+        X = self.mixed_rows(2 * _BATCH + 4000, 53)
+        for config in (basic8, gain8):
+            live = amplitude_live(config, X)
+            assert live.sum() > _BATCH  # the packed rows cross a batch boundary
+            ci, si, er = assign_many(config, code8, X)
+            ci_l, si_l, er_l = assign_many(config, code8, X[live])
+            assert np.array_equal(ci[live], ci_l)
+            assert np.array_equal(si[live], si_l)
+            assert np.array_equal(er[live], er_l)
 
 
 class TestQuery:
@@ -321,7 +377,7 @@ class TestSerialization:
             assert f"{key}={getattr(code8, key)}" in str(exc.value)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteInput:
     """A non-finite query point never gets "no"; a non-finite x is erased."""
 
@@ -352,6 +408,18 @@ class TestNonFiniteInput:
             # the finite antipodal point shows the rows are live
             assert maybe.tolist() == [True, True, True, False]
 
+    def test_overflowing_query_answers_maybe(self, basic8, code8):
+        sig, x = self.live_signature(basic8, code8)
+        maybe = query_many(
+            basic8,
+            code8,
+            np.full(2, sig.center_index),
+            np.full(2, sig.shell_index),
+            np.zeros(2, dtype=bool),
+            np.vstack([1e200 * x, -x]),  # the first squared norm overflows
+        )
+        assert maybe.tolist() == [True, False]
+
     def test_scalar_query_rejects(self, basic8, code8):
         sig, _ = self.live_signature(basic8, code8)
         for y in self.bad_points():
@@ -360,4 +428,5 @@ class TestNonFiniteInput:
 
     def test_nan_x_is_erased(self, basic8, gain8, code8):
         for config in (basic8, gain8):
-            assert assign_signature(config, code8, np.full(8, np.nan)) is ERASURE
+            for x in self.bad_points():
+                assert assign_signature(config, code8, x) is ERASURE
