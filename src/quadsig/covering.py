@@ -37,30 +37,42 @@ __all__ = [
 
 _BATCH = 8192  # fixed so the sample stream is reproducible
 _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
+# Rows per GEMM: a (_TILE, _CENTER_CHUNK) cosine tile is 4 MB, small enough for
+# the argmax to read it back from cache.  Callers with many rows always
+# allocate a _TILE * _CENTER_CHUNK workspace, never one sized by their row
+# count: one fixed size lets the allocator reuse a single block across calls
+# instead of fragmenting the heap.
+_TILE = 1024
 
 
 def _nearest(units, m, block, buf) -> tuple[np.ndarray, np.ndarray]:
     """(index, cosine) of the nearest of the first m unit centers for each
-    row of a block of at most _BATCH unit rows.
+    row of a block of unit rows.
 
-    Row-tiled: each center chunk's cosines land in a (rows, chunk) view of the
-    flat workspace `buf` (at least rows * _CENTER_CHUNK floats), so the argmax
-    runs along contiguous rows.  Ties break to the lowest index because only a
-    strictly larger cosine replaces the incumbent.
+    Row-tiled: the block is walked in tiles of at most _TILE rows, and each
+    center chunk's cosines land in a (rows, chunk) view of the flat workspace
+    `buf` (at least min(rows, _TILE) * _CENTER_CHUNK floats), so the argmax
+    runs along contiguous rows of a tile that is still in cache.  Ties break
+    to the lowest index because only a strictly larger cosine replaces the
+    incumbent.
     """
     b = block.shape[0]
     idx = np.zeros(b, dtype=np.int64)
     best = np.full(b, -2.0)
-    rows = np.arange(b)
-    for lo in range(0, m, _CENTER_CHUNK):
-        k = min(_CENTER_CHUNK, m - lo)
-        cos = buf[: b * k].reshape(b, k)
-        np.dot(block, units[lo : lo + k].T, out=cos)
-        loc = cos.argmax(axis=1)
-        val = cos[rows, loc]
-        upd = val > best
-        idx[upd] = lo + loc[upd]
-        best[upd] = val[upd]
+    for r0 in range(0, b, _TILE):
+        tile = block[r0 : r0 + _TILE]
+        t = tile.shape[0]
+        rows = np.arange(t)
+        tidx, tbest = idx[r0 : r0 + t], best[r0 : r0 + t]
+        for lo in range(0, m, _CENTER_CHUNK):
+            k = min(_CENTER_CHUNK, m - lo)
+            cos = buf[: t * k].reshape(t, k)
+            np.dot(tile, units[lo : lo + k].T, out=cos)
+            loc = cos.argmax(axis=1)
+            val = cos[rows, loc]
+            upd = val > tbest
+            tidx[upd] = lo + loc[upd]
+            tbest[upd] = val[upd]
     return idx, best
 
 
@@ -170,7 +182,7 @@ def build_covering(
     cos_thr = math.sqrt((sigma2 - d0) / sigma2)
     cap = 1024
     units = np.empty((cap, n))
-    buf = np.empty(_BATCH * _CENTER_CHUNK)
+    buf = np.empty(_TILE * _CENTER_CHUNK)
     m = 0
     consec = 0
     done = False
@@ -216,7 +228,7 @@ def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringRepo
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cos_thr = code.cos_theta0
-    buf = np.empty(_BATCH * _CENTER_CHUNK)
+    buf = np.empty(_TILE * _CENTER_CHUNK)
     covered = 0
     remaining = samples
     while remaining > 0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import GaussianPair, _check_rate
 from .covering import CoveringCode, _covering_from_payload, _covering_payload, _nearest
-from .covering import _BATCH, _CENTER_CHUNK
+from .covering import _BATCH, _CENTER_CHUNK, _TILE
 from .errors import PreconditionError
 from .geometry import CapSpec, _cap_distances, _check_vector, expansion_cone_angle
 
@@ -209,15 +209,13 @@ def assign_many(
         )
 
     live = np.flatnonzero(~erased)
-    units = X[live]
-    units /= np.sqrt(norm2[live])[:, None]
     centers_idx = np.zeros(m, dtype=np.int64)
-    buf = np.empty(min(live.size, _BATCH) * _CENTER_CHUNK)
+    buf = np.empty(_TILE * _CENTER_CHUNK)
     for lo in range(0, live.size, _BATCH):
         rows = live[lo : lo + _BATCH]
-        centers_idx[rows], cos_best = _nearest(
-            code._units, code.size, units[lo : lo + _BATCH], buf
-        )
+        units = X[rows]
+        units /= np.sqrt(norm2[rows])[:, None]
+        centers_idx[rows], cos_best = _nearest(code._units, code.size, units, buf)
         erased[rows] = cos_best < code.cos_theta0
     return centers_idx, shells, erased
 

@@ -4,20 +4,26 @@ admissibility audits, and empirical exponent fits.
 Trials are split into fixed-size shards; shard i draws its generator from
 SeedSequence(seed).spawn(...)[i], and results merge by summation, so estimates
 are reproducible bit for bit regardless of how many worker threads run them.
-QUADSIG_THREADS caps shard parallelism (default 1).
+QUADSIG_THREADS caps shard parallelism (default: the usable CPUs).  While more
+than one shard thread runs, numpy's OpenBLAS is held at one thread, so shard
+threads and BLAS threads do not compete for the cores.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import GaussianPair, _check_rate
-from .covering import CoveringCode, build_covering
+from .covering import _BATCH, CoveringCode, build_covering
 from .errors import DegenerateDataError, PreconditionError
 from .scheme import SchemeConfig, assign_many, plan_scheme, query_many
 
@@ -99,13 +105,25 @@ def _estimate(hits: int, trials: int, false_negatives: int = 0) -> TrialEstimate
     return TrialEstimate(p, trials, lo, hi, false_negatives)
 
 
-def _maybe_and_false_negatives(config, code, X, Y) -> tuple[int, int]:
+def _maybe_and_false_negatives(config, code, X, y_rows) -> tuple[int, int]:
     """Number of pairs (rows of X, Y) that get "maybe", and number of d-similar
-    pairs that get "no" (false negatives, which must never occur)."""
-    ci, si, er = assign_many(config, code, X)
-    maybe = query_many(config, code, ci, si, er, Y)
-    dxy = np.einsum("ij,ij->i", X - Y, X - Y) / config.n
-    return int(maybe.sum()), int((~maybe & (dxy <= config.d)).sum())
+    pairs that get "no" (false negatives, which must never occur).
+
+    X is processed in blocks of _BATCH rows; y_rows(lo, hi) returns rows lo:hi
+    of Y, called once per block in order, so Y need never exist whole.  d(x, y)
+    is computed only for pairs answering "no", the only possible false
+    negatives.
+    """
+    hits = fn = 0
+    for lo in range(0, X.shape[0], _BATCH):
+        Xb = X[lo : lo + _BATCH]
+        Yb = y_rows(lo, lo + Xb.shape[0])
+        ci, si, er = assign_many(config, code, Xb)
+        no = np.flatnonzero(~query_many(config, code, ci, si, er, Yb))
+        diff = Xb[no] - Yb[no]
+        fn += int((np.einsum("ij,ij->i", diff, diff) / config.n <= config.d).sum())
+        hits += Xb.shape[0] - no.size
+    return hits, fn
 
 
 def sample_pair(
@@ -119,11 +137,79 @@ def sample_pair(
 
 
 def _threads() -> int:
+    """Shard threads: QUADSIG_THREADS if it is an integer, else the usable CPUs."""
     try:
-        t = int(os.environ.get("QUADSIG_THREADS", "1"))
-    except ValueError:
-        t = 1
+        t = int(os.environ["QUADSIG_THREADS"])
+    except (KeyError, ValueError):
+        if hasattr(os, "sched_getaffinity"):
+            t = len(os.sched_getaffinity(0))
+        else:
+            t = os.cpu_count() or 1
     return max(1, t)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS that numpy bundles, or
+    None when numpy ships no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _ShardPool:
+    """The shard threads of the process, kept across calls.
+
+    Threads made afresh for every call would each start on a new malloc
+    arena and grow peak memory from call to call.  While any run is active,
+    OpenBLAS is held at one thread; the count in force before the first of
+    the overlapping runs is restored when the last one ends.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._executor = None
+        self._size = 0
+        self._active = 0
+        self._saved = 0
+
+    def run(self, lanes: int, fn) -> list:
+        """[fn(0), ..., fn(lanes - 1)], each on its own pool thread."""
+        blas = _openblas_threads()
+        with self._lock:
+            if self._size < lanes:
+                # the old executor's idle threads exit once it is unreferenced
+                self._executor = ThreadPoolExecutor(lanes, "quadsig-shard")
+                self._size = lanes
+            executor = self._executor
+            if self._active == 0 and blas is not None:
+                self._saved = blas[0]()
+                blas[1](1)
+            self._active += 1
+        try:
+            futures = [executor.submit(fn, j) for j in range(lanes)]
+            wait(futures)
+            return [f.result() for f in futures]
+        finally:
+            with self._lock:
+                self._active -= 1
+                if self._active == 0 and blas is not None:
+                    blas[1](self._saved)
+
+
+_POOL = _ShardPool()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits none of the pool's threads, so it starts afresh
+    os.register_at_fork(after_in_child=_POOL.__init__)
 
 
 def _run_sharded(trials: int, seed: int, worker):
@@ -140,12 +226,15 @@ def _run_sharded(trials: int, seed: int, worker):
     def run(i):
         return worker(np.random.default_rng(children[i]), sizes[i])
 
-    t = _threads()
-    if t == 1 or num_shards == 1:
+    lanes = min(_threads(), num_shards)
+    if lanes == 1:
         results = [run(i) for i in range(num_shards)]
     else:
-        with ThreadPoolExecutor(max_workers=min(t, num_shards)) as pool:
-            results = list(pool.map(run, range(num_shards)))
+        # lane j runs shards j, j + lanes, ...; the sums ignore the order
+        by_lane = _POOL.run(
+            lanes, lambda j: [run(i) for i in range(j, num_shards, lanes)]
+        )
+        results = [r for lane in by_lane for r in lane]
     return tuple(int(sum(parts)) for parts in zip(*results))
 
 
@@ -164,9 +253,11 @@ def estimate_maybe_probability(
     """
 
     def worker(rng: np.random.Generator, count: int):
+        # drawing Y block by block, after X, yields the numbers of one draw
         X = spec_x.draw(rng, (count, config.n))
-        Y = spec_y.draw(rng, (count, config.n))
-        return _maybe_and_false_negatives(config, code, X, Y)
+        return _maybe_and_false_negatives(
+            config, code, X, lambda lo, hi: spec_y.draw(rng, (hi - lo, config.n))
+        )
 
     hits, fn = _run_sharded(trials, seed, worker)
     return _estimate(hits, trials, fn)
@@ -183,9 +274,8 @@ def estimate_similarity_probability(
     """Monte Carlo estimate of Pr{d(X, Y) <= d} for independent sources."""
 
     def worker(rng: np.random.Generator, count: int):
-        X = spec_x.draw(rng, (count, n))
-        Y = spec_y.draw(rng, (count, n))
-        dxy = np.einsum("ij,ij->i", X - Y, X - Y) / n
+        diff = spec_x.draw(rng, (count, n)) - spec_y.draw(rng, (count, n))
+        dxy = np.einsum("ij,ij->i", diff, diff) / n
         return (int((dxy <= d).sum()),)
 
     (hits,) = _run_sharded(trials, seed, worker)
@@ -220,8 +310,9 @@ def audit_admissibility(
         edge = math.sqrt(config.n * config.d)
         radius[: nb // 2] = edge * (1.0 - 1e-9)
         radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
-        Y = X + radius[:, None] * U
-        return _maybe_and_false_negatives(config, code, X, Y)
+        return _maybe_and_false_negatives(
+            config, code, X, lambda lo, hi: X[lo:hi] + radius[lo:hi, None] * U[lo:hi]
+        )
 
     hits, fn = _run_sharded(trials, seed, worker)
     return _estimate(hits, trials, fn)

@@ -7,6 +7,7 @@ import pytest
 from quadsig.covering import (
     _BATCH,
     _CENTER_CHUNK,
+    _TILE,
     CoveringCode,
     build_covering,
     load_covering,
@@ -140,8 +141,9 @@ class TestNearestCenter:
         # Directions with four +-1/2 entries: every cosine between them is a
         # sum of at most four +-1/4 terms, so it is exact in any summation
         # order and the full-matrix argmax is an exact reference.  Ties are
-        # everywhere, and a duplicated center sits on each side of every
-        # chunk boundary.
+        # everywhere, a duplicated center sits on each side of every chunk
+        # boundary, and rows tied across a chunk boundary sit on each side of
+        # a row-tile boundary and at the end of the last batch.
         n = 16
         rng = np.random.default_rng(5)
 
@@ -158,9 +160,14 @@ class TestNearestCenter:
         code = CoveringCode(n=n, sigma2=1.25, d0=0.25, centers=4.0 * units)
         tied = units[[_CENTER_CHUNK - 1, 2 * _CENTER_CHUNK - 1]]
         rows = np.vstack([dyadic_units(_BATCH + 900), tied])
+        rows[_TILE - 1 : _TILE + 1] = tied
         cos = rows @ units.T
         want = cos.argmax(axis=1)
-        assert want[-2:].tolist() == [_CENTER_CHUNK - 1, 2 * _CENTER_CHUNK - 1]
+        for at in (_TILE - 1, len(rows) - 2):
+            assert want[at : at + 2].tolist() == [
+                _CENTER_CHUNK - 1,
+                2 * _CENTER_CHUNK - 1,
+            ]
 
         config = SchemeConfig(n=n, d=0.5, sigma_x2=1.0, eta=0.5)
         centers_idx, _, _ = assign_many(config, code, 4.0 * rows)

@@ -1,5 +1,9 @@
 import math
+import multiprocessing
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,9 +11,13 @@ import pytest
 from quadsig.analysis import GaussianPair, id_rate
 from quadsig.covering import build_covering
 from quadsig.errors import DegenerateDataError, PreconditionError
-from quadsig.scheme import SchemeConfig, plan_scheme
+from quadsig.scheme import SchemeConfig, assign_many, plan_scheme, query_many
 from quadsig.simulate import (
+    SHARD_SIZE,
     SourceSpec,
+    _openblas_threads,
+    _run_sharded,
+    _threads,
     audit_admissibility,
     chi_square_tail_bound,
     estimate_maybe_probability,
@@ -111,12 +119,134 @@ class TestSimilarityProbability:
         assert slopes[2] > 0.0271818  # stays above the asymptotic exponent
 
 
+class TestShardThreads:
+    def test_default_is_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("QUADSIG_THREADS", raising=False)
+        assert _threads() == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("QUADSIG_THREADS", "3")
+        assert _threads() == 3
+
+    @pytest.fixture
+    def blas_get(self):
+        """OpenBLAS's thread-count getter, with the count set to 2 for the
+        test and put back after it."""
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread setter")
+        get, put = blas
+        before = get()
+        put(2)
+        try:
+            if get() != 2:
+                pytest.skip("OpenBLAS cannot run two threads here")
+            yield get
+        finally:
+            put(before)
+
+    def test_blas_pinned_in_pool_and_restored(self, blas_get, monkeypatch):
+        seen = []
+
+        def worker(rng, count):
+            seen.append(blas_get())
+            if count == 5:
+                raise RuntimeError("worker failed")
+            return (count,)
+
+        monkeypatch.setenv("QUADSIG_THREADS", "2")
+        assert _run_sharded(3 * SHARD_SIZE, 1, worker) == (3 * SHARD_SIZE,)
+        assert seen == [1, 1, 1]
+        assert blas_get() == 2
+        with pytest.raises(RuntimeError, match="worker failed"):
+            _run_sharded(2 * SHARD_SIZE + 5, 1, worker)
+        assert blas_get() == 2
+        # one shard, or one shard thread, keeps BLAS's own threads
+        seen.clear()
+        assert _run_sharded(SHARD_SIZE, 1, worker) == (SHARD_SIZE,)
+        monkeypatch.setenv("QUADSIG_THREADS", "1")
+        assert _run_sharded(2 * SHARD_SIZE, 1, worker) == (2 * SHARD_SIZE,)
+        assert seen == [2, 2, 2]
+
+    def test_overlapping_callers_restore_blas(self, blas_get, monkeypatch):
+        # more callers than cores, switching threads as often as possible:
+        # a lost update of the pool's run count would leave BLAS pinned
+        monkeypatch.setenv("QUADSIG_THREADS", "2")
+        results = []
+
+        def caller():
+            for _ in range(25):
+                results.append(_run_sharded(3 * SHARD_SIZE, 1, lambda r, c: (c,)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [(3 * SHARD_SIZE,)] * 100
+        assert blas_get() == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_runs_shards(self, monkeypatch):
+        monkeypatch.setenv("QUADSIG_THREADS", "2")
+
+        def slow(rng, count):
+            time.sleep(0.05)
+            return (count,)
+
+        # leaves at least two idle pool threads, which a child does not inherit
+        assert _run_sharded(2 * SHARD_SIZE, 1, slow) == (2 * SHARD_SIZE,)
+
+        def child():
+            ok = _run_sharded(2 * SHARD_SIZE, 1, slow) == (2 * SHARD_SIZE,)
+            os._exit(0 if ok else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung
+        assert proc.exitcode == 0
+
+
 class TestMaybeProbability:
-    def test_reproducible(self, basic8, code8):
+    def test_reproducible(self, basic8, code8, monkeypatch):
         g = SourceSpec("gaussian", 1.0)
+        monkeypatch.delenv("QUADSIG_THREADS", raising=False)
         a = estimate_maybe_probability(basic8, code8, g, g, 50_000, 13)
-        b = estimate_maybe_probability(basic8, code8, g, g, 50_000, 13)
-        assert a == b
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QUADSIG_THREADS", threads)
+            b = estimate_maybe_probability(basic8, code8, g, g, 50_000, 13)
+            assert a == b
+
+    def test_matches_whole_shard_reference(self, basic8, code8):
+        # a full shard, then a partial one that is a single partial block;
+        # the reference draws each shard's X and Y whole
+        trials = SHARD_SIZE + 5001
+        for family in ("gaussian", "uniform", "laplace"):
+            s = SourceSpec(family, 1.0)
+            est = estimate_maybe_probability(basic8, code8, s, s, trials, 37)
+            hits = fn = 0
+            for i, child in enumerate(np.random.SeedSequence(37).spawn(2)):
+                rng = np.random.default_rng(child)
+                count = min(SHARD_SIZE, trials - i * SHARD_SIZE)
+                X = s.draw(rng, (count, 8))
+                Y = s.draw(rng, (count, 8))
+                ci, si, er = assign_many(basic8, code8, X)
+                maybe = query_many(basic8, code8, ci, si, er, Y)
+                dxy = ((X - Y) ** 2).sum(axis=1) / 8
+                hits += int(maybe.sum())
+                fn += int((~maybe & (dxy <= basic8.d)).sum())
+            assert est.p_hat == hits / trials
+            assert est.false_negative_count == fn
 
     def test_zero_false_negatives(self, basic8, code8):
         for family in ("gaussian", "uniform", "laplace"):
@@ -172,11 +302,15 @@ class TestAuditAdmissibility:
                 # constructed pairs are similar, so nearly everything is maybe
                 assert est.p_hat > 0.999
 
-    def test_reproducible(self, basic8, code8):
+    def test_reproducible(self, basic8, code8, monkeypatch):
+        # three shards, so two shard threads run them in two lanes
         g = SourceSpec("gaussian", 1.0)
-        a = audit_admissibility(basic8, code8, g, 30_000, 31)
-        b = audit_admissibility(basic8, code8, g, 30_000, 31)
-        assert a == b
+        monkeypatch.delenv("QUADSIG_THREADS", raising=False)
+        a = audit_admissibility(basic8, code8, g, 70_000, 31)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QUADSIG_THREADS", threads)
+            b = audit_admissibility(basic8, code8, g, 70_000, 31)
+            assert a == b
 
 
 class TestFitExponent:
