@@ -125,6 +125,11 @@ def chi_square_exponent(rho: float) -> float:
     return (rho - 1.0 - math.log(rho)) / (2.0 * math.log(2.0))
 
 
+def _chi_square_exponents(rho: np.ndarray) -> np.ndarray:
+    """chi_square_exponent over an array of positive rho (no validation)."""
+    return (rho - 1.0 - np.log(rho)) / (2.0 * math.log(2.0))
+
+
 def angle_probability_exponent(rate: float, d: float, z1: float, z2: float) -> float:
     """-log2 sin of the (clamped) reach angle arcsin(2^-rate) + law-of-cosines
     angle for squared radii z1, z2 at threshold d.  Zero when the sum clamps
@@ -140,7 +145,7 @@ def angle_probability_exponent(rate: float, d: float, z1: float, z2: float) -> f
 
 
 def _exponent_objective(rate, d, z1, z2):
-    """Vectorized objective E_Z + E_Z + angle term over arrays of squared radii."""
+    """Vectorized angle term of the objective over arrays of squared radii."""
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     c = np.clip((z1 + z2 - d) / (2.0 * np.sqrt(z1 * z2)), -1.0, 1.0)
@@ -172,7 +177,7 @@ def id_exponent(
     _check_rate(pair, d, rate)
 
     ez_grid = np.arange(1, grid + 1) * (rho_max / grid)
-    ez_vals = (ez_grid - 1.0 - np.log(ez_grid)) / (2.0 * math.log(2.0))
+    ez_vals = _chi_square_exponents(ez_grid)
     z1 = ez_grid[:, None] * pair.sigma_x2
     z2 = ez_grid[None, :] * pair.sigma_y2
     feas = _feasible(d, z1, z2)
@@ -236,8 +241,7 @@ def id_exponent_symmetric(sigma2: float, d: float, rate: float) -> ExponentSolut
 
     rhos = np.linspace(lo, hi, 4001)
     zs = rhos * sigma2
-    ez = (rhos - 1.0 - np.log(rhos)) / (2.0 * math.log(2.0))
-    vals = 2.0 * ez + _exponent_objective(rate, d, zs, zs)
+    vals = 2.0 * _chi_square_exponents(rhos) + _exponent_objective(rate, d, zs, zs)
     k = int(np.argmin(vals))
     a = rhos[max(0, k - 1)]
     b = rhos[min(len(rhos) - 1, k + 1)]

@@ -10,7 +10,9 @@ construction can; the consuming scheme treats any uncovered direction as an
 erasure, so coverage gaps cost extra maybe-mass, never correctness.
 
 Building, verifying and signature assignment all search the centers through
-the one row-tiled kernel `_nearest`.
+the one row-tiled kernel `_nearest`.  Building and verifying only ask whether
+a sample is covered, so a sample leaves their scan as soon as one center
+covers it; only uncovered samples are searched against every center.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cap_fraction_bounds
+from .geometry import _check_vector, cap_fraction_bounds
 
 __all__ = [
     "CoveringCode",
@@ -45,7 +47,7 @@ _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
 _TILE = 1024
 
 
-def _nearest(units, m, block, buf) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(units, m, block, buf, stop=None) -> tuple[np.ndarray, np.ndarray]:
     """(index, cosine) of the nearest of the first m unit centers for each
     row of a block of unit rows.
 
@@ -55,6 +57,14 @@ def _nearest(units, m, block, buf) -> tuple[np.ndarray, np.ndarray]:
     runs along contiguous rows of a tile that is still in cache.  Ties break
     to the lowest index because only a strictly larger cosine replaces the
     incumbent.
+
+    With a cosine threshold `stop`, a row whose best cosine has reached it
+    after a center chunk is packed out of the tile and searched no further:
+    it keeps the best (index, cosine) over the chunks searched so far, so its
+    cosine is >= stop but not necessarily the largest.  A row that never
+    reaches `stop` is searched against every center, so its index and cosine
+    are exact.  Either way `best >= stop` holds exactly where a full search
+    would give it.
     """
     b = block.shape[0]
     idx = np.zeros(b, dtype=np.int64)
@@ -64,6 +74,7 @@ def _nearest(units, m, block, buf) -> tuple[np.ndarray, np.ndarray]:
         t = tile.shape[0]
         rows = np.arange(t)
         tidx, tbest = idx[r0 : r0 + t], best[r0 : r0 + t]
+        live = None  # block positions of the tile's rows, once it has been packed
         for lo in range(0, m, _CENTER_CHUNK):
             k = min(_CENTER_CHUNK, m - lo)
             cos = buf[: t * k].reshape(t, k)
@@ -73,6 +84,22 @@ def _nearest(units, m, block, buf) -> tuple[np.ndarray, np.ndarray]:
             upd = val > tbest
             tidx[upd] = lo + loc[upd]
             tbest[upd] = val[upd]
+            if stop is None or lo + k == m:
+                continue
+            keep = tbest < stop
+            if keep.all():
+                continue
+            if live is None:
+                live = np.arange(r0, r0 + t)
+            idx[live], best[live] = tidx, tbest
+            live = live[keep]
+            tile, tidx, tbest = tile[keep], tidx[keep], tbest[keep]
+            t = tile.shape[0]
+            if t == 0:
+                break
+            rows = np.arange(t)
+        if live is not None:
+            idx[live], best[live] = tidx, tbest
     return idx, best
 
 
@@ -189,7 +216,8 @@ def build_covering(
     while not done:
         block = rng.standard_normal((_BATCH, n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        misses = np.flatnonzero(_nearest(units, m, block, buf)[1] < cos_thr)
+        best = _nearest(units, m, block, buf, stop=cos_thr)[1]
+        misses = np.flatnonzero(best < cos_thr)
         start_m = m
         pos = 0
         for i in misses:
@@ -235,7 +263,7 @@ def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringRepo
         b = min(_BATCH, remaining)
         block = rng.standard_normal((b, code.n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        _, cos = _nearest(code._units, code.size, block, buf)
+        _, cos = _nearest(code._units, code.size, block, buf, stop=cos_thr)
         covered += int((cos >= cos_thr).sum())
         remaining -= b
     return CoveringReport(
@@ -252,13 +280,14 @@ def nearest_center(code: CoveringCode, x) -> tuple[int, float]:
     plus the angle to it.  Ties break to the lowest index; all centers share a
     norm, so nearest-on-shell is the same as smallest angle.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_vector(x, "x")
     if x.shape != (code.n,):
         raise ValueError(f"expected a vector of dimension {code.n}")
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
+    scale = np.abs(x).max()
+    if scale == 0.0:
         raise ValueError("x must be nonzero")
-    block = (x / norm)[None, :]
+    x = x / scale  # largest coordinate +-1: the norm can neither overflow nor vanish
+    block = (x / np.linalg.norm(x))[None, :]
     idx, cos = _nearest(code._units, code.size, block, np.empty(_CENTER_CHUNK))
     return int(idx[0]), math.acos(min(1.0, max(-1.0, float(cos[0]))))
 

@@ -5,6 +5,7 @@ import pytest
 
 from quadsig.analysis import (
     GaussianPair,
+    _chi_square_exponents,
     angle_probability_exponent,
     chi_square_exponent,
     gaussian_test_channel,
@@ -99,6 +100,13 @@ class TestChiSquareExponent:
             mid = chi_square_exponent(lam * a + (1 - lam) * b)
             chord = lam * chi_square_exponent(a) + (1 - lam) * chi_square_exponent(b)
             assert mid <= chord + 1e-12
+
+    def test_vectorized_grid_matches_scalar(self):
+        # the scans evaluate E_Z on whole grids; only np.log and math.log may
+        # round differently
+        rho = np.arange(1, 401) * (4.0 / 400)
+        want = [chi_square_exponent(float(r)) for r in rho]
+        assert _chi_square_exponents(rho) == pytest.approx(want, rel=1e-14, abs=1e-16)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

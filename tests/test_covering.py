@@ -1,14 +1,17 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from quadsig.analysis import GaussianPair, id_rate
 from quadsig.covering import (
     _BATCH,
     _CENTER_CHUNK,
     _TILE,
     CoveringCode,
+    _nearest,
     build_covering,
     load_covering,
     nearest_center,
@@ -18,7 +21,7 @@ from quadsig.covering import (
     verify_covering,
 )
 from quadsig.geometry import cap_fraction_exact
-from quadsig.scheme import SchemeConfig, assign_many
+from quadsig.scheme import SchemeConfig, assign_many, plan_scheme
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,15 @@ def circle_code():
 @pytest.fixture(scope="module")
 def small_code():
     return build_covering(8, 1.0, 0.5, seed=11, audit_samples=50_000)
+
+
+def _dyadic_units(rng, count, n):
+    """Unit rows with four +-1/2 entries: every cosine between two of them is
+    a sum of at most four +-1/4 terms, exact in any summation order."""
+    units = np.zeros((count, n))
+    for row in units:
+        row[rng.choice(n, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
+    return units
 
 
 def make_code(n, sigma2, d0, unit_rows):
@@ -90,6 +102,22 @@ class TestBuildCovering:
                 angle <= small_code.theta0
             )
 
+    def test_golden_multi_chunk_build_and_verify(self):
+        # 1,398 centers span three center chunks, so late-build samples leave
+        # the search early; the centers and the covered count must be those
+        # of a full search.  Recorded with OpenBLAS 0.3.31 (scipy-openblas,
+        # DYNAMIC_ARCH) on an x86-64 Xeon; another BLAS build may round dot
+        # products differently and legitimately change them.
+        pair = GaussianPair(1.0, 1.0)
+        d0 = plan_scheme(pair, 0.02, id_rate(pair, 0.02) + 0.5, 40, 0.1).d0
+        code = build_covering(40, 1.0, d0, 4001, 5000)
+        assert code.size == 1398
+        assert hashlib.sha256(code.centers.tobytes()).hexdigest() == (
+            "2fcd3440fc620281b4e9ece41aaa80497a60a84ae21bc18b49d79390b5b4a159"
+        )
+        rep = verify_covering(code, 100_000, 4002)
+        assert rep.sampled_coverage == 99_915 / 100_000
+
 
 class TestVerifyCovering:
     def test_single_center_coverage_matches_cap_fraction(self):
@@ -137,6 +165,26 @@ class TestNearestCenter:
         with pytest.raises(ValueError):
             nearest_center(small_code, np.ones(5))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_non_finite_input(self, small_code):
+        one_nan = np.ones(8)
+        one_nan[3] = np.nan
+        for x in (np.full(8, np.nan), np.full(8, np.inf), one_nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                nearest_center(small_code, x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_finite_input(self, small_code):
+        # squared norms that overflow or underflow must not change the answer
+        k = 5 % small_code.size
+        for scale in (1e200, 1e-200):
+            idx, angle = nearest_center(small_code, small_code.centers[k] * scale)
+            assert idx == k
+            assert angle == pytest.approx(0.0, abs=1e-7)
+        x = np.ones(8)
+        x[0] = 1e200
+        assert nearest_center(small_code, x) == nearest_center(small_code, np.eye(8)[0])
+
     def test_chunk_and_batch_boundaries_match_full_argmax(self):
         # Directions with four +-1/2 entries: every cosine between them is a
         # sum of at most four +-1/4 terms, so it is exact in any summation
@@ -146,20 +194,13 @@ class TestNearestCenter:
         # a row-tile boundary and at the end of the last batch.
         n = 16
         rng = np.random.default_rng(5)
-
-        def dyadic_units(count):
-            units = np.zeros((count, n))
-            for row in units:
-                row[rng.choice(n, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
-            return units
-
-        units = dyadic_units(2 * _CENTER_CHUNK + 100)
+        units = _dyadic_units(rng, 2 * _CENTER_CHUNK + 100, n)
         for lo in (_CENTER_CHUNK, 2 * _CENTER_CHUNK):
             units[lo] = units[lo - 1]
         # center norm sqrt(16 * (1.25 - 0.25)) = 4 keeps the unit rows exact
         code = CoveringCode(n=n, sigma2=1.25, d0=0.25, centers=4.0 * units)
         tied = units[[_CENTER_CHUNK - 1, 2 * _CENTER_CHUNK - 1]]
-        rows = np.vstack([dyadic_units(_BATCH + 900), tied])
+        rows = np.vstack([_dyadic_units(rng, _BATCH + 900, n), tied])
         rows[_TILE - 1 : _TILE + 1] = tied
         cos = rows @ units.T
         want = cos.argmax(axis=1)
@@ -176,6 +217,62 @@ class TestNearestCenter:
             idx, angle = nearest_center(code, x)
             assert idx == k
             assert math.cos(angle) == pytest.approx(x @ units[k], abs=1e-12)
+
+    def test_stop_retires_rows_that_reach_it(self):
+        # Exact dyadic cosines (multiples of 1/4) and stop = 3/4: a row leaves
+        # after the first chunk that brings its best cosine to stop, keeping
+        # the best (index, cosine) over the chunks searched so far; a row
+        # that never reaches stop gets the full-search result.
+        n, stop = 16, 0.75
+        rng = np.random.default_rng(9)
+        units = _dyadic_units(rng, 2 * _CENTER_CHUNK + 100, n)
+        for lo in (_CENTER_CHUNK, 2 * _CENTER_CHUNK):
+            units[lo] = units[lo - 1]
+        rows = _dyadic_units(rng, 2 * _TILE + 300, n)
+        # rows at exactly stop in chunk 0 with an exact match in chunk 1 or 2,
+        # on both sides of the first row-tile boundary
+        for at, c0, c1 in ((_TILE - 1, 100, 519), (_TILE, 200, 1030)):
+            rows[at] = units[c1]
+            moved = units[c1].copy()
+            src = np.flatnonzero(moved)[0]
+            dst = np.flatnonzero(moved == 0.0)[0]
+            moved[dst], moved[src] = moved[src], 0.0
+            units[c0] = moved  # cosine 3/4 with rows[at]
+
+        cos = rows @ units.T
+        chunk_best = np.stack(
+            [cos[:, lo : lo + _CENTER_CHUNK].max(axis=1)
+             for lo in range(0, len(units), _CENTER_CHUNK)],
+            axis=1,
+        )
+        reached = np.maximum.accumulate(chunk_best, axis=1) >= stop
+        # the last chunk retires nobody: the search ends there anyway
+        chunks = reached.shape[1]
+        first = np.where(reached.any(axis=1), reached.argmax(axis=1), chunks - 1)
+        end = np.minimum((first + 1) * _CENTER_CHUNK, len(units))
+        want_idx = np.array([c[:e].argmax() for c, e in zip(cos, end)])
+        want_best = cos[np.arange(len(rows)), want_idx]
+
+        at_stop_then_better = (chunk_best[:, 0] == stop) & (cos.max(axis=1) == 1.0)
+        assert at_stop_then_better[[_TILE - 1, _TILE]].all()
+        retired_later = (first == 1) & (chunk_best[:, 0] < stop)
+        assert retired_later[:_TILE].any() and retired_later[_TILE:].any()
+        never = ~reached[:, -1]
+        assert never[:_TILE].any() and never[_TILE : 2 * _TILE].any()
+        assert (cos[never].max(axis=1) == 0.5).any()  # just below stop
+
+        buf = np.empty(_TILE * _CENTER_CHUNK)
+        idx, best = _nearest(units, len(units), rows, buf, stop=stop)
+        assert np.array_equal(best >= stop, cos.max(axis=1) >= stop)
+        assert np.array_equal(idx[never], cos[never].argmax(axis=1))
+        assert np.array_equal(best[never], cos[never].max(axis=1))
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(best, want_best)
+        assert (idx[at_stop_then_better] < _CENTER_CHUNK).all()
+
+        idx, best = _nearest(units, len(units), rows, buf)
+        assert np.array_equal(idx, cos.argmax(axis=1))
+        assert np.array_equal(best, cos.max(axis=1))
 
 
 class TestSerialization:
