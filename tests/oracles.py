@@ -1,8 +1,12 @@
 """Independent brute-force oracles shared by the unit and acceptance suites.
 
 These deliberately avoid the library's algebra: distances come from explicit
-n-D points on (phi, r) grids, not from the clamped closed form under test.
+n-D points on (phi, r) grids, not from the clamped closed form under test,
+and the covering reference tests one sample at a time where the builder
+searches blocks of samples against chunks of centers.
 """
+
+import math
 
 import numpy as np
 
@@ -50,3 +54,37 @@ def grid_min_distance(y, cap, stage_pts=400, stages=3):
         r_lo = max(cap.inner_radius, r0 - 2 * dr)
         r_hi = min(cap.outer_radius, r0 + 2 * dr)
     return best
+
+
+def greedy_covering_units(n, sigma2, d0, seed, audit_samples, batch):
+    """Sample-at-a-time greedy covering: the unit center directions, in order.
+
+    Draws the builder's stream (`batch`-row standard-normal blocks from one
+    SeedSequence generator, each row normalized) and walks it one sample at a
+    time.  A sample becomes a center when no earlier center reaches
+    cos theta0; the walk stops once `audit_samples` samples in a row were
+    covered.  Also returns how many samples, after the first block, were
+    covered only by centers added earlier in their own block.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cos_thr = math.sqrt((sigma2 - d0) / sigma2)
+    units = np.empty((0, n))
+    in_block = 0
+    run = 0
+    first = True
+    while True:
+        block = rng.standard_normal((batch, n))
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        start = len(units)
+        for s in block:
+            cos = units @ s
+            if len(cos) and cos.max() >= cos_thr:
+                run += 1
+                if run == audit_samples:
+                    return units, in_block
+                if not first and (start == 0 or cos[:start].max() < cos_thr):
+                    in_block += 1
+            else:
+                units = np.vstack([units, s])
+                run = 0
+        first = False

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import greedy_covering_units
 
 from quadsig.analysis import GaussianPair, id_rate
 from quadsig.covering import (
@@ -117,6 +118,28 @@ class TestBuildCovering:
         )
         rep = verify_covering(code, 100_000, 4002)
         assert rep.sampled_coverage == 99_915 / 100_000
+
+    @pytest.mark.parametrize(
+        "n, d0, seed, audit",
+        [
+            (4, 0.6, 42, 1),
+            (4, 0.6, 42, _BATCH),
+            (4, 0.6, 42, 2 * _BATCH + 7),
+            (2, 1e-4, 2, 2000),
+        ],
+    )
+    def test_matches_sample_at_a_time_greedy(self, n, d0, seed, audit):
+        # The block-wise builder must add exactly the centers, in order, of a
+        # walk that tests one sample at a time and stops after `audit`
+        # covered samples in a row: runs that end at, or straddle, a block
+        # boundary included.
+        want, in_block = greedy_covering_units(n, 1.0, d0, seed, audit, _BATCH)
+        code = build_covering(n, 1.0, d0, seed, audit)
+        assert np.array_equal(code.centers, want * math.sqrt(n * (1.0 - d0)))
+        if n == 2:
+            # samples after the first block that only a center added earlier
+            # in the same block covers: the builder's in-block re-check
+            assert in_block > 0
 
 
 class TestVerifyCovering:
@@ -273,6 +296,25 @@ class TestNearestCenter:
         idx, best = _nearest(units, len(units), rows, buf)
         assert np.array_equal(idx, cos.argmax(axis=1))
         assert np.array_equal(best, cos.max(axis=1))
+
+    def test_rows_past_m_are_never_read(self):
+        # The builder's center buffer is np.empty past its m filled rows; the
+        # search must read only units[:m], also in a partial last chunk.
+        n, m = 8, _CENTER_CHUNK + 3
+        rng = np.random.default_rng(13)
+        units = np.full((2 * _CENTER_CHUNK, n), np.nan)
+        units[:m] = rng.standard_normal((m, n))
+        units[:m] /= np.linalg.norm(units[:m], axis=1, keepdims=True)
+        rows = rng.standard_normal((_TILE + 300, n))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        buf = np.empty(_TILE * _CENTER_CHUNK)
+        for stop in (None, 0.8):
+            idx, best = _nearest(units, m, rows, buf, stop=stop)
+            want_idx, want_best = _nearest(units[:m].copy(), m, rows, buf, stop=stop)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(best, want_best)
+            assert np.isfinite(best).all()
+        assert ((best >= 0.8) & (idx < _CENTER_CHUNK)).any()  # some rows retire
 
 
 class TestSerialization:
