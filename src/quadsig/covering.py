@@ -10,9 +10,10 @@ construction can; the consuming scheme treats any uncovered direction as an
 erasure, so coverage gaps cost extra maybe-mass, never correctness.
 
 Building, verifying and signature assignment all search the centers through
-the one row-tiled kernel `_nearest`.  Building and verifying only ask whether
-a sample is covered, so a sample leaves their scan as soon as one center
-covers it; only uncovered samples are searched against every center.
+the one kernel `_nearest`.  It walks the samples in row tiles, and each tile
+tracks the sample indices it still searches.  Building and verifying only ask
+whether a sample is covered, so a sample leaves its tile as soon as one
+center covers it; only uncovered samples are searched against every center.
 """
 
 from __future__ import annotations
@@ -26,81 +27,69 @@ import numpy as np
 from .geometry import _check_vector, cap_fraction_bounds
 
 __all__ = [
-    "CoveringCode",
-    "CoveringReport",
-    "build_covering",
-    "verify_covering",
-    "nearest_center",
-    "save_covering",
-    "load_covering",
-    "predicted_size_bounds",
+    "CoveringCode", "CoveringReport", "build_covering", "verify_covering",
+    "nearest_center", "save_covering", "load_covering", "predicted_size_bounds",
     "overhead_budget",
 ]
 
 _BATCH = 8192  # fixed so the sample stream is reproducible
 _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
-# Rows per GEMM: a (_TILE, _CENTER_CHUNK) cosine tile is 4 MB, small enough for
-# the argmax to read it back from cache.  Callers with many rows always
-# allocate a _TILE * _CENTER_CHUNK workspace, never one sized by their row
-# count: one fixed size lets the allocator reuse a single block across calls
-# instead of fragmenting the heap.
+# Rows per GEMM: a (_TILE, _CENTER_CHUNK) cosine tile is 4 MB, so the argmax
+# reads it back from cache.  Callers with many rows allocate one fixed-size
+# _TILE * _CENTER_CHUNK workspace, which the allocator reuses across calls.
 _TILE = 1024
 
 
 def _nearest(units, m, block, buf, stop=None) -> tuple[np.ndarray, np.ndarray]:
     """(index, cosine) of the nearest of the first m unit centers for each
-    row of a block of unit rows.
+    row of a block of unit rows.  Ties break to the lowest index: only a
+    strictly larger cosine replaces the incumbent.
 
-    Row-tiled: the block is walked in tiles of at most _TILE rows, and each
-    center chunk's cosines land in a (rows, chunk) view of the flat workspace
-    `buf` (at least min(rows, _TILE) * _CENTER_CHUNK floats), so the argmax
-    runs along contiguous rows of a tile that is still in cache.  Ties break
-    to the lowest index because only a strictly larger cosine replaces the
-    incumbent.
+    The block is walked in tiles of at most _TILE rows.  A tile carries `sel`,
+    the block positions of the rows it still searches.  Each center chunk's
+    cosines land in a (rows, chunk) view of the flat workspace `buf` (at
+    least min(rows, _TILE) * _CENTER_CHUNK floats), and their row argmax,
+    read while the tile is in cache, updates `idx`/`best` through `sel`.
 
     With a cosine threshold `stop`, a row whose best cosine has reached it
-    after a center chunk is packed out of the tile and searched no further:
-    it keeps the best (index, cosine) over the chunks searched so far, so its
-    cosine is >= stop but not necessarily the largest.  A row that never
-    reaches `stop` is searched against every center, so its index and cosine
-    are exact.  Either way `best >= stop` holds exactly where a full search
-    would give it.
+    after a center chunk leaves the tile: it keeps the best (index, cosine)
+    of the chunks searched so far, so its cosine is >= stop but not always
+    the largest.  A row that never reaches `stop` is searched against every
+    center, so its index and cosine are exact, and `best >= stop` holds
+    exactly where a full search would give it.
     """
     b = block.shape[0]
     idx = np.zeros(b, dtype=np.int64)
     best = np.full(b, -2.0)
     for r0 in range(0, b, _TILE):
         tile = block[r0 : r0 + _TILE]
-        t = tile.shape[0]
-        rows = np.arange(t)
-        tidx, tbest = idx[r0 : r0 + t], best[r0 : r0 + t]
-        live = None  # block positions of the tile's rows, once it has been packed
+        sel = np.arange(r0, r0 + tile.shape[0])
         for lo in range(0, m, _CENTER_CHUNK):
             k = min(_CENTER_CHUNK, m - lo)
-            cos = buf[: t * k].reshape(t, k)
+            cos = buf[: sel.size * k].reshape(sel.size, k)
             np.dot(tile, units[lo : lo + k].T, out=cos)
             loc = cos.argmax(axis=1)
-            val = cos[rows, loc]
-            upd = val > tbest
-            tidx[upd] = lo + loc[upd]
-            tbest[upd] = val[upd]
+            val = cos[np.arange(sel.size), loc]
+            upd = val > best[sel]
+            idx[sel[upd]], best[sel[upd]] = lo + loc[upd], val[upd]
             if stop is None or lo + k == m:
                 continue
-            keep = tbest < stop
-            if keep.all():
-                continue
-            if live is None:
-                live = np.arange(r0, r0 + t)
-            idx[live], best[live] = tidx, tbest
-            live = live[keep]
-            tile, tidx, tbest = tile[keep], tidx[keep], tbest[keep]
-            t = tile.shape[0]
-            if t == 0:
-                break
-            rows = np.arange(t)
-        if live is not None:
-            idx[live], best[live] = tidx, tbest
+            keep = best[sel] < stop
+            if not keep.all():
+                tile, sel = tile[keep], sel[keep]
+                if sel.size == 0:
+                    break
     return idx, best
+
+
+def _theta0(sigma2: float, d0: float) -> float:
+    """Half-angle of the cap a center's cover ball carves out of the shell."""
+    return math.asin(math.sqrt(d0 / sigma2))
+
+
+def _cos_theta0(sigma2: float, d0: float) -> float:
+    """cos theta0: a unit sample is covered iff its cosine to a center is >= this."""
+    return math.sqrt((sigma2 - d0) / sigma2)
 
 
 @dataclass(frozen=True)
@@ -122,9 +111,7 @@ class CoveringCode:
             raise ValueError("centers must be a nonempty (m, n) array")
         norms = np.linalg.norm(centers, axis=1)
         if not np.allclose(norms, self.center_norm, rtol=1e-9, atol=0.0):
-            raise ValueError(
-                "every center must have norm sqrt(n * (sigma2 - d0))"
-            )
+            raise ValueError("every center must have norm sqrt(n * (sigma2 - d0))")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "_units", centers / norms[:, None])
 
@@ -146,11 +133,11 @@ class CoveringCode:
 
     @property
     def theta0(self) -> float:
-        return math.asin(math.sqrt(self.d0 / self.sigma2))
+        return _theta0(self.sigma2, self.d0)
 
     @property
     def cos_theta0(self) -> float:
-        return math.sqrt((self.sigma2 - self.d0) / self.sigma2)
+        return _cos_theta0(self.sigma2, self.d0)
 
     @property
     def rate(self) -> float:
@@ -183,8 +170,7 @@ def predicted_size_bounds(n: int, sigma2: float, d0: float) -> tuple[float, floa
     The minimum is certified (no covering can use fewer than 1/upper caps);
     the maximum is the reciprocal lower bound, an optimistic ceiling only.
     """
-    theta0 = math.asin(math.sqrt(d0 / sigma2))
-    b = cap_fraction_bounds(theta0, n)
+    b = cap_fraction_bounds(_theta0(sigma2, d0), n)
     return 1.0 / b.upper, 1.0 / b.lower
 
 
@@ -206,45 +192,29 @@ def build_covering(
         raise ValueError("audit_samples must be at least 1")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cos_thr = math.sqrt((sigma2 - d0) / sigma2)
-    cap = 1024
-    units = np.empty((cap, n))
+    cos_thr = _cos_theta0(sigma2, d0)
+    units = np.empty((1024, n))
     buf = np.empty(_TILE * _CENTER_CHUNK)
     m = 0
-    consec = 0
-    done = False
-    while not done:
+    drawn = 0  # stream index of the block's first sample
+    last = -1  # stream index of the newest center; every later sample is covered
+    while drawn - last - 1 < audit_samples:
         block = rng.standard_normal((_BATCH, n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
         best = _nearest(units, m, block, buf, stop=cos_thr)[1]
-        misses = np.flatnonzero(best < cos_thr)
-        start_m = m
-        pos = 0
-        for i in misses:
-            run = int(i) - pos
-            if consec + run >= audit_samples:
-                done = True
+        start = m
+        for i in np.flatnonzero(best < cos_thr):
+            if drawn + i - last - 1 >= audit_samples:
                 break
-            consec += run
-            # re-check against centers added earlier in this same batch
-            if m > start_m and (units[start_m:m] @ block[i]).max() >= cos_thr:
-                consec += 1  # a full run is caught by the next run check
-            else:
-                consec = 0
-                if m == cap:
-                    cap *= 2
-                    grown = np.empty((cap, n))
-                    grown[:m] = units[:m]
-                    units = grown
-                units[m] = block[i]
-                m += 1
-            pos = int(i) + 1
-        if not done:
-            run = _BATCH - pos
-            if consec + run >= audit_samples:
-                done = True
-            else:
-                consec += run
+            # re-check against centers added earlier in this same block
+            if m > start and (units[start:m] @ block[i]).max() >= cos_thr:
+                continue
+            if m == len(units):
+                units = np.concatenate([units, np.empty_like(units)])
+            units[m] = block[i]
+            m += 1
+            last = drawn + int(i)
+        drawn += _BATCH
 
     centers = units[:m] * math.sqrt(n * (sigma2 - d0))
     return CoveringCode(n=n, sigma2=sigma2, d0=d0, centers=centers, seed=seed)
@@ -258,14 +228,11 @@ def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringRepo
     cos_thr = code.cos_theta0
     buf = np.empty(_TILE * _CENTER_CHUNK)
     covered = 0
-    remaining = samples
-    while remaining > 0:
-        b = min(_BATCH, remaining)
-        block = rng.standard_normal((b, code.n))
+    for lo in range(0, samples, _BATCH):
+        block = rng.standard_normal((min(_BATCH, samples - lo), code.n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
         _, cos = _nearest(code._units, code.size, block, buf, stop=cos_thr)
         covered += int((cos >= cos_thr).sum())
-        remaining -= b
     return CoveringReport(
         rate=code.rate,
         bound=0.5 * math.log2(code.sigma2 / code.d0),
@@ -294,21 +261,27 @@ def nearest_center(code: CoveringCode, x) -> tuple[int, float]:
 
 def _covering_payload(code: CoveringCode) -> dict:
     """The JSON object that describes a code; floats round-trip exactly."""
-    return {
-        "n": code.n,
-        "sigma2": code.sigma2,
-        "d0": code.d0,
-        "seed": code.seed,
-        "centers": code.centers.tolist(),
-    }
+    return {"n": code.n, "sigma2": code.sigma2, "d0": code.d0, "seed": code.seed,
+            "centers": code.centers.tolist()}
 
 
-def _covering_from_payload(payload: dict) -> CoveringCode:
+def _field(payload, key: str, kinds: tuple = (int, float)):
+    """payload[key], or a ValueError naming the field if payload is not a JSON
+    object holding it, or holds it as another type (a bool is not a number)."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"missing field {key!r} in a JSON {type(payload).__name__}")
+    if isinstance(payload[key], bool) or not isinstance(payload[key], kinds):
+        want = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"field {key!r} must be {want}, not {payload[key]!r:.40}")
+    return payload[key]
+
+
+def _covering_from_payload(payload) -> CoveringCode:
     return CoveringCode(
-        n=int(payload["n"]),
-        sigma2=payload["sigma2"],
-        d0=payload["d0"],
-        centers=np.asarray(payload["centers"], dtype=float),
+        n=_field(payload, "n", (int,)),
+        sigma2=_field(payload, "sigma2"),
+        d0=_field(payload, "d0"),
+        centers=np.asarray(_field(payload, "centers", (list,)), dtype=float),
         seed=payload.get("seed"),
     )
 

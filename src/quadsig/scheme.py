@@ -24,8 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .analysis import GaussianPair, _check_rate
-from .covering import CoveringCode, _covering_from_payload, _covering_payload, _nearest
-from .covering import _BATCH, _CENTER_CHUNK, _TILE
+from .covering import CoveringCode, _covering_from_payload, _covering_payload, _field
+from .covering import _BATCH, _CENTER_CHUNK, _TILE, _nearest, _theta0
 from .errors import PreconditionError
 from .geometry import CapSpec, _cap_distances, _check_vector, expansion_cone_angle
 
@@ -299,7 +299,7 @@ def plan_scheme(
 
     b = bracket(eta)
     d0 = (1.0 - epsilon / 2.0) * pair.sigma_x2 * b * b
-    theta0 = math.asin(math.sqrt(d0 / pair.sigma_x2))
+    theta0 = _theta0(pair.sigma_x2, d0)
     expansion = expansion_cone_angle(d, pair.sigma_x2, pair.sigma_y2, eta, theta0)
     if not expansion.acute:
         raise RuntimeError("cone angle reached pi/2; construction invariant broken")
@@ -343,10 +343,12 @@ def load_scheme(path) -> tuple[SchemeConfig, CoveringCode]:
     """Read a save_scheme file; the scheme's n and d0 must match its covering."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    s = payload["scheme"]
-    config = SchemeConfig(**{f.name: s[f.name] for f in fields(SchemeConfig)})
-    code = _covering_from_payload(payload["covering"])
-    if config.n != code.n or s["d0"] != code.d0:
+    s = _field(payload, "scheme", (dict,))
+    kinds = {"n": (int,), "mode": (str,), "sigma_max2": (int, float, type(None))}
+    config = SchemeConfig(**{f.name: _field(s, f.name, kinds.get(f.name, (int, float)))
+                             for f in fields(SchemeConfig)})
+    code = _covering_from_payload(_field(payload, "covering", (dict,)))
+    if config.n != code.n or _field(s, "d0") != code.d0:
         raise ValueError(
             f"scheme (n={config.n}, d0={s['d0']}) does not match its covering "
             f"(n={code.n}, d0={code.d0})"

@@ -340,6 +340,30 @@ class TestSerialization:
         assert payload["n"] == 2
         assert payload["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda p: p.pop("centers"), "'centers'"),
+            (lambda p: p.update(d0="0.5"), "'d0'"),
+            (lambda p: p.update(n="2"), "'n'"),
+            (lambda p: p.update(n=2.9), "'n'"),
+        ],
+    )
+    def test_invalid_field_rejected(self, circle_code, tmp_path, edit, names):
+        path = tmp_path / "circle.json"
+        save_covering(circle_code, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=names):
+            load_covering(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="'n' in a JSON list"):
+            load_covering(path)
+
 
 class TestPredictedSizeBounds:
     def test_ordering_and_reference(self):

@@ -376,6 +376,23 @@ class TestSerialization:
             assert f"{key}={value}" in str(exc.value)
             assert f"{key}={getattr(code8, key)}" in str(exc.value)
 
+    def test_invalid_field_rejected(self, tmp_path, basic8, code8):
+        path = tmp_path / "scheme.json"
+        save_scheme(basic8, code8, path)
+        edits = (
+            (lambda p: p["scheme"].pop("eta"), "'eta'"),
+            (lambda p: p["scheme"].update(mode=1), "'mode'"),
+            (lambda p: p["covering"].update(sigma2=None), "'sigma2'"),
+            (lambda p: p.pop("covering"), "'covering'"),
+        )
+        for edit, name in edits:
+            payload = json.loads(path.read_text())
+            edit(payload)
+            edited = tmp_path / "edited.json"
+            edited.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=name):
+                load_scheme(edited)
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteInput:
