@@ -341,27 +341,20 @@ class TestSerialization:
         assert payload["seed"] == 7
 
     @pytest.mark.parametrize(
-        "edit, names",
+        "edit, message",
         [
-            (lambda p: p.pop("centers"), "'centers'"),
-            (lambda p: p.update(d0="0.5"), "'d0'"),
-            (lambda p: p.update(n="2"), "'n'"),
-            (lambda p: p.update(n=2.9), "'n'"),
+            (lambda p: {k: v for k, v in p.items() if k != "centers"}, "'centers'"),
+            (lambda p: {**p, "d0": "0.5"}, "'d0' must be int or float"),
+            (lambda p: [p], "'n' in a JSON list"),
+            (lambda p: {**p, "n": "2"}, "'n' must be int"),
+            (lambda p: {**p, "n": 2.9}, "'n' must be int"),
         ],
     )
-    def test_invalid_field_rejected(self, circle_code, tmp_path, edit, names):
+    def test_invalid_payload_rejected(self, circle_code, tmp_path, edit, message):
         path = tmp_path / "circle.json"
         save_covering(circle_code, path)
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=names):
-            load_covering(path)
-
-    def test_non_object_rejected(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="'n' in a JSON list"):
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message):
             load_covering(path)
 
 
