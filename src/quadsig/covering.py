@@ -9,11 +9,17 @@ The builder cannot certify complete coverage the way an explicit covering
 construction can; the consuming scheme treats any uncovered direction as an
 erasure, so coverage gaps cost extra maybe-mass, never correctness.
 
-Building, verifying and signature assignment all search the centers through
-the one kernel `_nearest`.  It walks the samples in row tiles, and each tile
-tracks the sample indices it still searches.  Building and verifying only ask
-whether a sample is covered, so a sample leaves its tile as soon as one
-center covers it; only uncovered samples are searched against every center.
+Building and verifying ask only whether a sample is covered; signature
+assignment needs the nearest center itself.  The two questions have one
+kernel each.  `_nearest` walks the samples in row tiles and searches every
+center in float64.  `_covered` screens in float32, where GEMM runs about
+twice as fast, and certifies in float64: a float32 cosine of two unit
+vectors lies within gamma = (n + 2) u / (1 - (n + 2) u), u = 2^-24, of the
+exact one (the rounding of both inputs, then Higham's dot-product bound).  A
+sample whose float32 cosine to some center clears cos theta0 + gamma is
+covered, and one whose float32 cosines all stay below cos theta0 - gamma is
+not.  Only a sample left inside that band, which is rare, is decided by a
+float64 product, so every decision is the float64 one.
 """
 
 from __future__ import annotations
@@ -40,46 +46,82 @@ _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
 _TILE = 1024
 
 
-def _nearest(units, m, block, buf, stop=None) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(units, m, block, buf) -> tuple[np.ndarray, np.ndarray]:
     """(index, cosine) of the nearest of the first m unit centers for each
     row of a block of unit rows.  Ties break to the lowest index: only a
     strictly larger cosine replaces the incumbent.
 
-    The block is walked in tiles of at most _TILE rows.  A tile carries `sel`,
-    the block positions of the rows it still searches.  Each center chunk's
+    The block is walked in tiles of at most _TILE rows.  Each center chunk's
     cosines land in a (rows, chunk) view of the flat workspace `buf` (at
     least min(rows, _TILE) * _CENTER_CHUNK floats), and their row argmax,
-    read while the tile is in cache, updates `idx`/`best` through `sel`.
-
-    With a cosine threshold `stop`, a row whose best cosine has reached it
-    after a center chunk leaves the tile: it keeps the best (index, cosine)
-    of the chunks searched so far, so its cosine is >= stop but not always
-    the largest.  A row that never reaches `stop` is searched against every
-    center, so its index and cosine are exact, and `best >= stop` holds
-    exactly where a full search would give it.
+    read while the tile is in cache, updates the tile's `idx`/`best`.
+    Whether a row is covered at all is `_covered`'s question, not this one's.
     """
     b = block.shape[0]
     idx = np.zeros(b, dtype=np.int64)
     best = np.full(b, -2.0)
     for r0 in range(0, b, _TILE):
         tile = block[r0 : r0 + _TILE]
-        sel = np.arange(r0, r0 + tile.shape[0])
+        t = tile.shape[0]
+        tidx, tbest, rows = idx[r0 : r0 + t], best[r0 : r0 + t], np.arange(t)
         for lo in range(0, m, _CENTER_CHUNK):
             k = min(_CENTER_CHUNK, m - lo)
-            cos = buf[: sel.size * k].reshape(sel.size, k)
+            cos = buf[: t * k].reshape(t, k)
             np.dot(tile, units[lo : lo + k].T, out=cos)
             loc = cos.argmax(axis=1)
-            val = cos[np.arange(sel.size), loc]
-            upd = val > best[sel]
-            idx[sel[upd]], best[sel[upd]] = lo + loc[upd], val[upd]
-            if stop is None or lo + k == m:
-                continue
-            keep = best[sel] < stop
+            val = cos[rows, loc]
+            upd = val > tbest
+            tidx[upd], tbest[upd] = lo + loc[upd], val[upd]
+    return idx, best
+
+
+def _reaches(units, rows, thr):
+    """Whether some unit center reaches cosine thr, in float64, for each of
+    the unit rows (or for one row given as a vector)."""
+    return (units @ rows.T).max(axis=0) >= thr
+
+
+def _covered(units, m, block, thr) -> np.ndarray:
+    """Whether one of the first m unit centers reaches cosine thr, for
+    each row of a block of unit rows; every answer is that of `_reaches`
+    except for cosines within a few float64 ulps of thr.
+
+    The screen casts the centers and the block to float32 and walks the tiles
+    and chunks of `_nearest`.  A row leaves its tile as covered once its
+    float32 cosine reaches `hi`, and joins the band once it reaches `lo`;
+    hi and lo are thr +- gamma (module docstring, with a 2x margin for
+    rows whose norm is 1 only to float64 rounding), rounded outward to
+    float32.  A band row that no center covered is re-decided by `_reaches`.
+    """
+    b, n = block.shape
+    nu = (n + 2) * 2.0**-24
+    gamma = 2.0 * nu / (1.0 - nu)
+    hi = np.nextafter(np.float32(thr + gamma), np.float32(np.inf))
+    lo = np.nextafter(np.float32(thr - gamma), np.float32(-np.inf))
+    units32 = units[:m].astype(np.float32)
+    block32 = block.astype(np.float32)
+    buf = np.empty(min(b, _TILE) * _CENTER_CHUNK, dtype=np.float32)
+    covered = np.zeros(b, dtype=bool)
+    band = np.zeros(b, dtype=bool)
+    for r0 in range(0, b, _TILE):
+        tile = block32[r0 : r0 + _TILE]
+        sel = np.arange(r0, r0 + tile.shape[0])
+        for c0 in range(0, m, _CENTER_CHUNK):
+            k = min(_CENTER_CHUNK, m - c0)
+            cos = buf[: sel.size * k].reshape(sel.size, k)
+            np.dot(tile, units32[c0 : c0 + k].T, out=cos)
+            val = cos[np.arange(sel.size), cos.argmax(axis=1)]
+            band[sel[val >= lo]] = True
+            keep = val < hi
             if not keep.all():
+                covered[sel[~keep]] = True
                 tile, sel = tile[keep], sel[keep]
                 if sel.size == 0:
                     break
-    return idx, best
+        sel = sel[band[sel]]  # uncovered in float32, but inside the band
+        if sel.size:
+            covered[sel] = _reaches(units[:m], block[sel], thr)
+    return covered
 
 
 def _theta0(sigma2: float, d0: float) -> float:
@@ -194,20 +236,19 @@ def build_covering(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cos_thr = _cos_theta0(sigma2, d0)
     units = np.empty((1024, n))
-    buf = np.empty(_TILE * _CENTER_CHUNK)
     m = 0
     drawn = 0  # stream index of the block's first sample
     last = -1  # stream index of the newest center; every later sample is covered
     while drawn - last - 1 < audit_samples:
         block = rng.standard_normal((_BATCH, n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        best = _nearest(units, m, block, buf, stop=cos_thr)[1]
+        covered = _covered(units, m, block, cos_thr)
         start = m
-        for i in np.flatnonzero(best < cos_thr):
+        for i in np.flatnonzero(~covered):
             if drawn + i - last - 1 >= audit_samples:
                 break
             # re-check against centers added earlier in this same block
-            if m > start and (units[start:m] @ block[i]).max() >= cos_thr:
+            if m > start and _reaches(units[start:m], block[i], cos_thr):
                 continue
             if m == len(units):
                 units = np.concatenate([units, np.empty_like(units)])
@@ -225,14 +266,11 @@ def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringRepo
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cos_thr = code.cos_theta0
-    buf = np.empty(_TILE * _CENTER_CHUNK)
     covered = 0
     for lo in range(0, samples, _BATCH):
         block = rng.standard_normal((min(_BATCH, samples - lo), code.n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        _, cos = _nearest(code._units, code.size, block, buf, stop=cos_thr)
-        covered += int((cos >= cos_thr).sum())
+        covered += int(_covered(code._units, code.size, block, code.cos_theta0).sum())
     return CoveringReport(
         rate=code.rate,
         bound=0.5 * math.log2(code.sigma2 / code.d0),
@@ -289,8 +327,7 @@ def _covering_from_payload(payload) -> CoveringCode:
 def save_covering(code: CoveringCode, path) -> None:
     """Write the code as self-describing JSON; floats round-trip exactly."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_covering_payload(code), fh)
-        fh.write("\n")
+        fh.write(json.dumps(_covering_payload(code)) + "\n")
 
 
 def load_covering(path) -> CoveringCode:

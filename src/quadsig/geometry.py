@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 
@@ -139,6 +138,9 @@ def cap_fraction_exact(theta: float, n: int) -> float:
         raise DomainError("theta must lie in [0, pi]")
     if theta == 0.0:
         return 0.0
+    # imported here so that `import quadsig` does not load scipy.integrate,
+    # which would be most of its import time; no other path needs it
+    from scipy.integrate import quad
 
     def dens(phi: float) -> float:
         return math.sin(phi) ** (n - 2)

@@ -335,8 +335,8 @@ def save_scheme(config: SchemeConfig, code: CoveringCode, path) -> None:
     """Persist a scheme config alongside its covering code in one JSON file."""
     scheme_part = {**asdict(config), "d0": code.d0}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"scheme": scheme_part, "covering": _covering_payload(code)}, fh)
-        fh.write("\n")
+        payload = {"scheme": scheme_part, "covering": _covering_payload(code)}
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_scheme(path) -> tuple[SchemeConfig, CoveringCode]:

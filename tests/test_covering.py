@@ -12,6 +12,7 @@ from quadsig.covering import (
     _CENTER_CHUNK,
     _TILE,
     CoveringCode,
+    _covered,
     _nearest,
     build_covering,
     load_covering,
@@ -242,10 +243,10 @@ class TestNearestCenter:
             assert math.cos(angle) == pytest.approx(x @ units[k], abs=1e-12)
 
     def test_stop_retires_rows_that_reach_it(self):
-        # Exact dyadic cosines (multiples of 1/4) and stop = 3/4: a row leaves
-        # after the first chunk that brings its best cosine to stop, keeping
-        # the best (index, cosine) over the chunks searched so far; a row
-        # that never reaches stop gets the full-search result.
+        # Exact dyadic cosines (multiples of 1/4, exact in float32 too) and
+        # stop = 3/4: rows at exactly stop sit inside the screen's band and
+        # are decided by the float64 certificate; `_covered` must equal the
+        # full search's `max >= stop`, and `_nearest` the full argmax.
         n, stop = 16, 0.75
         rng = np.random.default_rng(9)
         units = _dyadic_units(rng, 2 * _CENTER_CHUNK + 100, n)
@@ -268,34 +269,71 @@ class TestNearestCenter:
              for lo in range(0, len(units), _CENTER_CHUNK)],
             axis=1,
         )
-        reached = np.maximum.accumulate(chunk_best, axis=1) >= stop
-        # the last chunk retires nobody: the search ends there anyway
-        chunks = reached.shape[1]
-        first = np.where(reached.any(axis=1), reached.argmax(axis=1), chunks - 1)
-        end = np.minimum((first + 1) * _CENTER_CHUNK, len(units))
-        want_idx = np.array([c[:e].argmax() for c, e in zip(cos, end)])
-        want_best = cos[np.arange(len(rows)), want_idx]
-
         at_stop_then_better = (chunk_best[:, 0] == stop) & (cos.max(axis=1) == 1.0)
         assert at_stop_then_better[[_TILE - 1, _TILE]].all()
-        retired_later = (first == 1) & (chunk_best[:, 0] < stop)
+        reached = np.maximum.accumulate(chunk_best, axis=1) >= stop
+        retired_later = ~reached[:, 0] & reached[:, 1]
         assert retired_later[:_TILE].any() and retired_later[_TILE:].any()
+        at_stop_only = cos.max(axis=1) == stop  # in the band, covered
+        assert at_stop_only[:_TILE].any() and at_stop_only[_TILE:].any()
         never = ~reached[:, -1]
         assert never[:_TILE].any() and never[_TILE : 2 * _TILE].any()
         assert (cos[never].max(axis=1) == 0.5).any()  # just below stop
 
-        buf = np.empty(_TILE * _CENTER_CHUNK)
-        idx, best = _nearest(units, len(units), rows, buf, stop=stop)
-        assert np.array_equal(best >= stop, cos.max(axis=1) >= stop)
-        assert np.array_equal(idx[never], cos[never].argmax(axis=1))
-        assert np.array_equal(best[never], cos[never].max(axis=1))
-        assert np.array_equal(idx, want_idx)
-        assert np.array_equal(best, want_best)
-        assert (idx[at_stop_then_better] < _CENTER_CHUNK).all()
+        covered = _covered(units, len(units), rows, stop)
+        assert np.array_equal(covered, cos.max(axis=1) >= stop)
 
+        buf = np.empty(_TILE * _CENTER_CHUNK)
         idx, best = _nearest(units, len(units), rows, buf)
         assert np.array_equal(idx, cos.argmax(axis=1))
         assert np.array_equal(best, cos.max(axis=1))
+
+    def test_covered_decides_knife_edges_exactly(self):
+        # Cosines thr + k ulp, k = -3..3, round to one float32 value, so a
+        # float32 screen without a float64 band cannot separate them.  Every
+        # copy of e1 (in chunks 0, 1 and the partial last chunk) gives a knife
+        # row the exact float64 cosine a; the other centers are orthogonal to
+        # the knife rows' (e1, e2) plane.
+        n, m = 16, 2 * _CENTER_CHUNK + 3
+        thr = math.sqrt(0.6)
+        rng = np.random.default_rng(17)
+        units = np.zeros((m, n))
+        units[:, 2:] = rng.standard_normal((m, n - 2))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        units[[0, _CENTER_CHUNK - 1, _CENTER_CHUNK, m - 1]] = np.eye(n)[0]
+        rows = rng.standard_normal((_TILE + 300, n))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        want = (rows @ units.T).max(axis=1) >= thr
+        ulp = np.spacing(thr)
+        a = thr + np.arange(-3, 4) * ulp
+        assert np.unique(a.astype(np.float32)).size == 1
+        for at in (_TILE - 7, _TILE):  # each side of a row-tile boundary
+            rows[at : at + 7] = 0.0
+            rows[at : at + 7, 0] = a
+            rows[at : at + 7, 1] = np.sqrt(1.0 - a * a)
+            want[at : at + 7] = a >= thr
+        assert want.any() and not want.all()
+        assert np.array_equal(_covered(units, m, rows, thr), want)
+
+    def test_covered_matches_float64_near_the_threshold(self):
+        # Rows at cosine thr + U(-1e-6, 1e-6) to a random center: float32
+        # rounding at n = 64 moves such cosines across thr, so this fails if
+        # the band is narrower than the float32 error it has to absorb.
+        n, m, k = 64, 2 * _CENTER_CHUNK + 3, 4000
+        thr = math.sqrt(0.6)
+        rng = np.random.default_rng(3)
+        units = rng.standard_normal((m, n))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        c = units[rng.integers(0, m, k)]
+        w = rng.standard_normal((k, n))
+        w -= (w * c).sum(axis=1, keepdims=True) * c
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        a = thr + rng.uniform(-1e-6, 1e-6, k)
+        rows = a[:, None] * c + np.sqrt(1.0 - a * a)[:, None] * w
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        want = (rows @ units.T).max(axis=1) >= thr
+        assert 0.3 < want.mean() < 0.7
+        assert np.array_equal(_covered(units, m, rows, thr), want)
 
     def test_rows_past_m_are_never_read(self):
         # The builder's center buffer is np.empty past its m filled rows; the
@@ -308,13 +346,15 @@ class TestNearestCenter:
         rows = rng.standard_normal((_TILE + 300, n))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         buf = np.empty(_TILE * _CENTER_CHUNK)
-        for stop in (None, 0.8):
-            idx, best = _nearest(units, m, rows, buf, stop=stop)
-            want_idx, want_best = _nearest(units[:m].copy(), m, rows, buf, stop=stop)
-            assert np.array_equal(idx, want_idx)
-            assert np.array_equal(best, want_best)
-            assert np.isfinite(best).all()
-        assert ((best >= 0.8) & (idx < _CENTER_CHUNK)).any()  # some rows retire
+        idx, best = _nearest(units, m, rows, buf)
+        want_idx, want_best = _nearest(units[:m].copy(), m, rows, buf)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(best, want_best)
+        assert np.isfinite(best).all()
+        covered = _covered(units, m, rows, 0.8)
+        assert np.array_equal(covered, _covered(units[:m].copy(), m, rows, 0.8))
+        assert np.array_equal(covered, best >= 0.8)
+        assert (covered & (idx < _CENTER_CHUNK)).any()  # some rows retire early
 
 
 class TestSerialization:

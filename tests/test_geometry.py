@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadsig
 from quadsig.errors import DomainError
 from quadsig.geometry import (
     CapFractionBounds,
@@ -148,6 +153,17 @@ class TestCapFractionExact:
     def test_circle_case_is_linear(self):
         # n = 2 density is flat, so the fraction is theta / pi
         assert cap_fraction_exact(0.3, 2) == pytest.approx(0.3 / math.pi, abs=1e-12)
+
+    def test_import_quadsig_leaves_scipy_unloaded(self):
+        # scipy.integrate would be most of the package's import time, and
+        # only this function needs it, so it is imported on the first call
+        src = str(Path(quadsig.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, quadsig; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestLawOfCosinesAngle:
