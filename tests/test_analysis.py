@@ -253,6 +253,64 @@ class TestIdExponent:
             id_exponent(GaussianPair(1.0, 1.0), 2.5, 5.0)
 
 
+# perfbench's EXPONENT_GRID with sigma_x2 = 1 and rate = id_rate + above, and
+# the recorded solution: (sigma_y2, d, above, value, rho_x, rho_y, on the
+# difference boundary, on the sum boundary).
+PINNED_2D = (
+    (1.0, 1.5, 1.0, 0.007114748731107979, 0.9376818275451662, 0.9376818275451662, False, False),
+    (1.0, 0.02, 0.5, 0.33098991081139706, 0.9445773887634277, 0.9445773887634277, False, False),
+    (1.0, 1.98, 6.0, 3.518566565201183e-05, 0.9950781249999999, 0.995078125, False, False),
+    (0.5, 0.5, 0.5, 0.033941122752697526, 0.8408506965637208, 0.9728812599182131, False, False),
+    (2.0, 1.0, 2.0, 0.18647734179419867, 0.8644880867004393, 0.6519861412048338, False, False),
+    (0.25, 0.2501, 0.1, 0.0046393280855945625, 0.9077327919006347, 1.0408511543273926, False, False),
+    (0.01, 0.8101, 0.01, 8.399672366009831e-07, 0.9984821891784665, 1.0001482772827248, False, False),
+    (4.0, 4.9995, 1.0, 9.017595426152238e-10, 0.9999900054931641, 0.9999600028991698, False, False),
+    (1.0, 0.5, 0.5, 0.052566957881296034, 0.8984883880615235, 0.8984883880615235, False, False),
+    (0.25, 1.2, 4.0, 0.0005215784618067855, 0.9699716186523438, 0.9925288391113282, False, False),
+    (4.0, 1.05, 0.5, 0.06540653418319022, 1.0740335464477546, 0.717069854736328, False, False),
+    (0.5, 0.09, 2.0, 0.7976259500329094, 0.5265678024291992, 0.9233173751831055, False, False),
+)
+
+# (sigma2, d, rate, value, on the sum boundary)
+PINNED_1D = (
+    (1.0, 1.5, 3.0, 0.007114748731107862, False),
+    (1.0, 1.98, 8.0, 1.3500768723296308e-05, False),
+    (2.0, 2.5, 2.0, 0.008427211344525752, False),
+    (1.0, 0.5, 0.5, 0.0024736226968115576, False),
+    (0.5, 0.02, 1.0, 0.5842893643966403, False),
+    (4.0, 7.9, 9.321928094887367, 4.353268234351248e-05, False),
+)
+
+
+class TestPinnedSolutions:
+    """Both solvers reproduce their recorded solutions, so a rewrite of the
+    objective or the refiner that moves a result shows here."""
+
+    @pytest.mark.parametrize(
+        "sy2, d, above, value, rho_x, rho_y, diff, tot",
+        PINNED_2D,
+        ids=[f"{p[0]}/{p[1]}/{p[2]}" for p in PINNED_2D],
+    )
+    def test_id_exponent(self, sy2, d, above, value, rho_x, rho_y, diff, tot):
+        pair = GaussianPair(1.0, sy2)
+        sol = id_exponent(pair, d, id_rate(pair, d) + above)
+        assert sol.value == pytest.approx(value, abs=1e-12)
+        assert sol.rho_x == pytest.approx(rho_x, abs=1e-9)
+        assert sol.rho_y == pytest.approx(rho_y, abs=1e-9)
+        assert sol.on_difference_boundary == diff
+        assert sol.on_sum_boundary == tot
+
+    @pytest.mark.parametrize(
+        "sigma2, d, rate, value, tot",
+        PINNED_1D,
+        ids=[f"{p[0]}/{p[1]}/{p[2]:.6g}" for p in PINNED_1D],
+    )
+    def test_id_exponent_symmetric(self, sigma2, d, rate, value, tot):
+        sol = id_exponent_symmetric(sigma2, d, rate)
+        assert sol.value == pytest.approx(value, abs=1e-12)
+        assert sol.on_sum_boundary == tot
+
+
 class TestSimilarityExponent:
     def test_zero_at_total_variance(self):
         assert similarity_exponent(GaussianPair(1.0, 1.0), 2.0) == 0.0
