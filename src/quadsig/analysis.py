@@ -3,6 +3,17 @@
 Rates and exponents are in bits per symbol (base-2 logs); the chi-square
 deviation exponent keeps its natural log inside, per its definition
 E_Z(rho) = (rho - 1 - ln rho) / (2 ln 2).
+
+The identification exponent at rate R is the minimum over scale factors
+rho_x, rho_y > 0, with z1 = rho_x sigma_x2 and z2 = rho_y sigma_y2, of
+
+    E_Z(rho_x) + E_Z(rho_y) - log2 sin min(pi/2, arcsin 2^-R + arccos c),
+    c = (z1 + z2 - d) / (2 sqrt(z1 z2)),
+
+subject to |sqrt(z1) - sqrt(z2)| <= sqrt(d) and z1 + z2 >= d.  `_program`
+evaluates it, and `_minimize` solves it by a grid scan refined by compass
+search: in (rho_x, rho_y) for `id_exponent`, along rho_x = rho_y for
+`id_exponent_symmetric`.
 """
 
 from __future__ import annotations
@@ -56,12 +67,9 @@ class GaussianPair:
 
 @dataclass(frozen=True)
 class ExponentSolution:
-    """Value and minimizer of the identification-exponent program.
-
-    The two boundary flags report whether the minimizer sits on the closure of
-    either constraint: |sqrt(z1) - sqrt(z2)| = sqrt(d), or z1 + z2 = d, where
-    z1 = rho_x * sigma_x2 and z2 = rho_y * sigma_y2.
-    """
+    """Value and minimizer of the identification-exponent program; the two
+    flags report whether the minimizer sits on the closure of the difference
+    constraint, |sqrt(z1) - sqrt(z2)| = sqrt(d), or of the sum, z1 + z2 = d."""
 
     value: float
     rho_x: float
@@ -122,11 +130,11 @@ def chi_square_exponent(rho: float) -> float:
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    return (rho - 1.0 - math.log(rho)) / (2.0 * math.log(2.0))
+    return float(_chi_square_exponents(rho))
 
 
-def _chi_square_exponents(rho: np.ndarray) -> np.ndarray:
-    """chi_square_exponent over an array of positive rho (no validation)."""
+def _chi_square_exponents(rho):
+    """chi_square_exponent over positive scalars or arrays (no validation)."""
     return (rho - 1.0 - np.log(rho)) / (2.0 * math.log(2.0))
 
 
@@ -140,24 +148,70 @@ def angle_probability_exponent(rate: float, d: float, z1: float, z2: float) -> f
     c = (z1 + z2 - d) / (2.0 * math.sqrt(z1 * z2))
     if not -1.0 <= c <= 1.0:
         raise DomainError(f"arccos argument {c:.6g} outside [-1, 1]")
-    ang = min(math.pi / 2, math.asin(2.0 ** (-rate)) + math.acos(c))
-    return -math.log2(math.sin(ang))
+    return float(_angle_exponents(rate, d, z1, z2))
 
 
-def _exponent_objective(rate, d, z1, z2):
-    """Vectorized angle term of the objective over arrays of squared radii."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    c = np.clip((z1 + z2 - d) / (2.0 * np.sqrt(z1 * z2)), -1.0, 1.0)
+def _angle_exponents(rate, d, z1, z2):
+    """angle_probability_exponent over positive scalars or arrays z1, z2,
+    with the arccos argument clamped to [-1, 1] (no validation)."""
+    c = (z1 + z2 - d) / (2.0 * np.sqrt(z1 * z2))
+    c = np.maximum(np.minimum(c, 1.0), -1.0)
     ang = np.minimum(math.pi / 2, math.asin(2.0 ** (-rate)) + np.arccos(c))
     return -np.log2(np.sin(ang))
 
 
-def _feasible(d, z1, z2):
-    return (np.abs(np.sqrt(z1) - np.sqrt(z2)) <= math.sqrt(d)) & (z1 + z2 >= d)
+def _program(pair: GaussianPair, d: float, rate: float, rx, ry):
+    """The program's objective at positive scale factors rx, ry (scalars or
+    broadcasting arrays), inf where (rx, ry) is infeasible."""
+    z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
+    feasible = (np.abs(np.sqrt(z1) - np.sqrt(z2)) <= math.sqrt(d)) & (z1 + z2 >= d)
+    ez = _chi_square_exponents(rx) + _chi_square_exponents(ry)
+    return np.where(feasible, ez + _angle_exponents(rate, d, z1, z2), np.inf)
+
+
+def _refine(f, x, step, moves, tol):
+    """Compass search from the point x = (rx, ry): try x + step * move for
+    each move in order and keep every one that lowers f(*x); halve the step
+    when none does, until it is at most tol.  Returns (f(*x), x) at the end."""
+    best = f(*x)
+    while step > tol:
+        moved = False
+        for dx, dy in moves:
+            y = (x[0] + step * dx, x[1] + step * dy)
+            v = f(*y)
+            if v < best:
+                best, x, moved = v, y, True
+        if not moved:
+            step /= 2.0
+    return best, x
 
 
 _BOUNDARY_TOL = 1e-7
+
+
+def _minimize(pair, d, rate, rx, ry, rho_max, step, moves, tol) -> ExponentSolution:
+    """Scan the program on the grid of broadcasting arrays rx, ry, then refine
+    its best point within (0, rho_max]^2 by compass search."""
+    obj = _program(pair, d, rate, rx, ry)
+    k = np.unravel_index(int(np.argmin(obj)), obj.shape)
+    if obj[k] == math.inf:
+        raise RuntimeError("empty feasible grid; preconditions should prevent this")
+
+    def f(rx, ry):
+        inside = 0.0 < rx <= rho_max and 0.0 < ry <= rho_max
+        return float(_program(pair, d, rate, rx, ry)) if inside else math.inf
+
+    x0 = tuple(float(np.broadcast_to(r, obj.shape)[k]) for r in (rx, ry))
+    value, (rx, ry) = _refine(f, x0, step, moves, tol)
+    z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
+    diff_gap = math.sqrt(d) - abs(math.sqrt(z1) - math.sqrt(z2))
+    return ExponentSolution(
+        value=value,
+        rho_x=rx,
+        rho_y=ry,
+        on_difference_boundary=diff_gap <= _BOUNDARY_TOL * math.sqrt(d),
+        on_sum_boundary=(z1 + z2) - d <= _BOUNDARY_TOL * max(d, 1.0),
+    )
 
 
 def id_exponent(
@@ -167,109 +221,30 @@ def id_exponent(
     rho_max: float = 4.0,
     grid: int = 400,
 ) -> ExponentSolution:
-    """Identification exponent: constrained 2-D minimum over scale factors
-    (rho_x, rho_y) of the chi-square deviation costs plus the angular term.
+    """Identification exponent: the program's minimum over (rho_x, rho_y).
 
     Dense [grid x grid] scan over (0, rho_max]^2 with the difference
-    constraint treated as closed, followed by coordinate descent to 1e-8
-    steps.  Objective accuracy ~1e-6 or better on smooth instances.
+    constraint treated as closed, followed by compass search along the axes
+    to 1e-8 steps.  Objective accuracy ~1e-6 or better on smooth instances.
     """
     _check_rate(pair, d, rate)
-
-    ez_grid = np.arange(1, grid + 1) * (rho_max / grid)
-    ez_vals = _chi_square_exponents(ez_grid)
-    z1 = ez_grid[:, None] * pair.sigma_x2
-    z2 = ez_grid[None, :] * pair.sigma_y2
-    feas = _feasible(d, z1, z2)
-    if not feas.any():
-        raise RuntimeError("empty feasible grid; preconditions should prevent this")
-    obj = ez_vals[:, None] + ez_vals[None, :] + _exponent_objective(rate, d, z1, z2)
-    obj = np.where(feas, obj, np.inf)
-    i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
-    rx, ry = float(ez_grid[i]), float(ez_grid[j])
-
-    def point_value(rx_, ry_):
-        if rx_ <= 0.0 or ry_ <= 0.0 or rx_ > rho_max or ry_ > rho_max:
-            return math.inf
-        z1_, z2_ = rx_ * pair.sigma_x2, ry_ * pair.sigma_y2
-        if not _feasible(d, np.float64(z1_), np.float64(z2_)):
-            return math.inf
-        return (
-            chi_square_exponent(rx_)
-            + chi_square_exponent(ry_)
-            + float(_exponent_objective(rate, d, z1_, z2_))
-        )
-
-    best = point_value(rx, ry)
-    step = rho_max / grid
-    while step > 1e-8:
-        moved = False
-        for dx, dy in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            v = point_value(rx + dx, ry + dy)
-            if v < best:
-                best, rx, ry = v, rx + dx, ry + dy
-                moved = True
-        if not moved:
-            step /= 2.0
-
-    z1_, z2_ = rx * pair.sigma_x2, ry * pair.sigma_y2
-    diff_gap = math.sqrt(d) - abs(math.sqrt(z1_) - math.sqrt(z2_))
-    sum_gap = (z1_ + z2_) - d
-    return ExponentSolution(
-        value=best,
-        rho_x=rx,
-        rho_y=ry,
-        on_difference_boundary=diff_gap <= _BOUNDARY_TOL * math.sqrt(d),
-        on_sum_boundary=sum_gap <= _BOUNDARY_TOL * max(d, 1.0),
+    rhos = np.arange(1, grid + 1) * (rho_max / grid)
+    axes = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+    return _minimize(
+        pair, d, rate, rhos[:, None], rhos[None, :], rho_max, rho_max / grid, axes, 1e-8
     )
 
 
 def id_exponent_symmetric(sigma2: float, d: float, rate: float) -> ExponentSolution:
-    """Identification exponent for equal variances: 1-D minimization over the
-    common scale factor rho in [d/(2 sigma2), 1].
-    """
-    _check_rate(GaussianPair(sigma2, sigma2), d, rate)
-
-    lo = d / (2.0 * sigma2)
-    hi = 1.0
-
-    def f(rho):
-        z = rho * sigma2
-        return 2.0 * chi_square_exponent(rho) + float(
-            _exponent_objective(rate, d, z, z)
-        )
-
-    rhos = np.linspace(lo, hi, 4001)
-    zs = rhos * sigma2
-    vals = 2.0 * _chi_square_exponents(rhos) + _exponent_objective(rate, d, zs, zs)
-    k = int(np.argmin(vals))
-    a = rhos[max(0, k - 1)]
-    b = rhos[min(len(rhos) - 1, k + 1)]
-
-    # golden-section refinement on the bracketing interval
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    while b - a > 1e-12:
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = f(c2)
-    rho_star = (a + b) / 2.0
-    value = f(rho_star)
-    z = rho_star * sigma2
-    return ExponentSolution(
-        value=value,
-        rho_x=rho_star,
-        rho_y=rho_star,
-        on_difference_boundary=False,
-        on_sum_boundary=(2.0 * z - d) <= _BOUNDARY_TOL * max(d, 1.0),
-    )
+    """Identification exponent for equal variances: the program's minimum
+    along rho_x = rho_y = rho in [d/(2 sigma2), 1], by a 4001-point scan and
+    compass search to 1e-12 steps."""
+    pair = GaussianPair(sigma2, sigma2)
+    _check_rate(pair, d, rate)
+    rhos = np.linspace(d / (2.0 * sigma2), 1.0, 4001)
+    step = float(rhos[1] - rhos[0])
+    diagonal = ((1.0, 1.0), (-1.0, -1.0))
+    return _minimize(pair, d, rate, rhos, rhos, 1.0, step, diagonal, 1e-12)
 
 
 def similarity_exponent(pair: GaussianPair, d: float) -> float:

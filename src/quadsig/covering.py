@@ -13,13 +13,16 @@ Building and verifying ask only whether a sample is covered; signature
 assignment needs the nearest center itself.  The two questions have one
 kernel each.  `_nearest` walks the samples in row tiles and searches every
 center in float64.  `_covered` screens in float32, where GEMM runs about
-twice as fast, and certifies in float64: a float32 cosine of two unit
-vectors lies within gamma = (n + 2) u / (1 - (n + 2) u), u = 2^-24, of the
-exact one (the rounding of both inputs, then Higham's dot-product bound).  A
-sample whose float32 cosine to some center clears cos theta0 + gamma is
-covered, and one whose float32 cosines all stay below cos theta0 - gamma is
-not.  Only a sample left inside that band, which is rare, is decided by a
-float64 product, so every decision is the float64 one.
+twice as fast, and certifies in float64: a float32 cosine of two exactly
+unit vectors lies within g = (n + 2) u / (1 - (n + 2) u), u = 2^-24, of the
+exact one (the rounding of both inputs, then Higham's dot-product bound).
+The band's half-width is gamma = 2 g.  The factor 2 is a margin for the two
+gaps the bound leaves out, each far below g: the rows are unit only to
+float64 rounding, and the answer to reproduce is the float64 product's, not
+the exact cosine.  A sample whose float32 cosine to some center clears
+cos theta0 + gamma is covered, and one whose float32 cosines all stay below
+cos theta0 - gamma is not.  Only a sample left inside that band, which is
+rare, is decided by a float64 product, so every decision is the float64 one.
 """
 
 from __future__ import annotations
@@ -46,20 +49,20 @@ _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
 _TILE = 1024
 
 
-def _nearest(units, m, block, buf) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(units, m, block) -> tuple[np.ndarray, np.ndarray]:
     """(index, cosine) of the nearest of the first m unit centers for each
     row of a block of unit rows.  Ties break to the lowest index: only a
     strictly larger cosine replaces the incumbent.
 
     The block is walked in tiles of at most _TILE rows.  Each center chunk's
-    cosines land in a (rows, chunk) view of the flat workspace `buf` (at
-    least min(rows, _TILE) * _CENTER_CHUNK floats), and their row argmax,
-    read while the tile is in cache, updates the tile's `idx`/`best`.
+    cosines land in a (rows, chunk) view of one flat workspace, and their row
+    argmax, read while the tile is in cache, updates the tile's `idx`/`best`.
     Whether a row is covered at all is `_covered`'s question, not this one's.
     """
     b = block.shape[0]
     idx = np.zeros(b, dtype=np.int64)
     best = np.full(b, -2.0)
+    buf = np.empty(min(b, _TILE) * _CENTER_CHUNK)
     for r0 in range(0, b, _TILE):
         tile = block[r0 : r0 + _TILE]
         t = tile.shape[0]
@@ -89,8 +92,7 @@ def _covered(units, m, block, thr) -> np.ndarray:
     The screen casts the centers and the block to float32 and walks the tiles
     and chunks of `_nearest`.  A row leaves its tile as covered once its
     float32 cosine reaches `hi`, and joins the band once it reaches `lo`;
-    hi and lo are thr +- gamma (module docstring, with a 2x margin for
-    rows whose norm is 1 only to float64 rounding), rounded outward to
+    hi and lo are thr +- gamma (module docstring), rounded outward to
     float32.  A band row that no center covered is re-decided by `_reaches`.
     """
     b, n = block.shape
@@ -293,7 +295,7 @@ def nearest_center(code: CoveringCode, x) -> tuple[int, float]:
         raise ValueError("x must be nonzero")
     x = x / scale  # largest coordinate +-1: the norm can neither overflow nor vanish
     block = (x / np.linalg.norm(x))[None, :]
-    idx, cos = _nearest(code._units, code.size, block, np.empty(_CENTER_CHUNK))
+    idx, cos = _nearest(code._units, code.size, block)
     return int(idx[0]), math.acos(min(1.0, max(-1.0, float(cos[0]))))
 
 

@@ -171,6 +171,14 @@ def law_of_cosines_angle(z1: float, z2: float, d: float) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
+def _expansion_cosine(d: float, sigma_x2: float, sigma_y2: float, eta: float) -> float:
+    """cos theta1 of the expansion cone: the law-of-cosines bracket shrunk by
+    the amplitude-shell half-width eta, which plan_scheme also bisects on."""
+    return (sigma_x2 + sigma_y2 - 2.0 * eta - d) / (
+        2.0 * math.sqrt((sigma_x2 + eta) * (sigma_y2 + eta))
+    )
+
+
 def expansion_cone_angle(
     d: float, sigma_x2: float, sigma_y2: float, eta: float, theta0: float
 ) -> ExpansionAngle:
@@ -184,9 +192,7 @@ def expansion_cone_angle(
         raise DomainError("eta must be positive")
     if not 0.0 < theta0 < math.pi / 2:
         raise DomainError("theta0 must lie in (0, pi/2)")
-    arg = (sigma_x2 + sigma_y2 - 2.0 * eta - d) / (
-        2.0 * math.sqrt((sigma_x2 + eta) * (sigma_y2 + eta))
-    )
+    arg = _expansion_cosine(d, sigma_x2, sigma_y2, eta)
     if not -1.0 <= arg <= 1.0:
         raise DomainError(f"arccos argument {arg:.6g} outside [-1, 1]")
     theta1 = math.acos(arg)

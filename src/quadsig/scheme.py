@@ -25,9 +25,10 @@ import numpy as np
 
 from .analysis import GaussianPair, _check_rate
 from .covering import CoveringCode, _covering_from_payload, _covering_payload, _field
-from .covering import _BATCH, _CENTER_CHUNK, _TILE, _nearest, _theta0
+from .covering import _BATCH, _nearest, _theta0
 from .errors import PreconditionError
-from .geometry import CapSpec, _cap_distances, _check_vector, expansion_cone_angle
+from .geometry import CapSpec, _cap_distances, _check_vector, _expansion_cosine
+from .geometry import expansion_cone_angle
 
 __all__ = [
     "SchemeConfig",
@@ -57,6 +58,10 @@ class SchemeConfig:
     sigma_max2: float | None = None
 
     def __post_init__(self):
+        for name in ("d", "sigma_x2", "eta", "sigma_max2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name!r} must be finite, not {value}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.d <= 0.0:
@@ -92,8 +97,12 @@ class SchemeConfig:
             inner2 = np.full(index.shape, self.n * (self.sigma_x2 - self.eta))
             outer2 = np.full(index.shape, self.n * (self.sigma_x2 + self.eta))
         else:
-            if np.any((index < 0) | (index >= self.num_shells)):
-                raise ValueError(f"shell index {index} out of range")
+            bad = (index < 0) | (index >= self.num_shells)
+            if np.any(bad):
+                raise ValueError(
+                    f"{np.count_nonzero(bad)} shell indices outside "
+                    f"[0, {self.num_shells}), the first {index[bad].flat[0]}"
+                )
             inner2 = self.n * index * self.eta
             outer2 = self.n * (index + 1) * self.eta
         return np.sqrt(inner2), np.sqrt(outer2)
@@ -210,12 +219,11 @@ def assign_many(
 
     live = np.flatnonzero(~erased)
     centers_idx = np.zeros(m, dtype=np.int64)
-    buf = np.empty(_TILE * _CENTER_CHUNK)
     for lo in range(0, live.size, _BATCH):
         rows = live[lo : lo + _BATCH]
         units = X[rows]
         units /= np.sqrt(norm2[rows])[:, None]
-        centers_idx[rows], cos_best = _nearest(code._units, code.size, units, buf)
+        centers_idx[rows], cos_best = _nearest(code._units, code.size, units)
         erased[rows] = cos_best < code.cos_theta0
     return centers_idx, shells, erased
 
@@ -276,9 +284,7 @@ def plan_scheme(
     _check_rate(pair, d, target_rate)
 
     def bracket(eta: float) -> float:
-        return (pair.sigma_x2 + pair.sigma_y2 - 2.0 * eta - d) / (
-            2.0 * math.sqrt((pair.sigma_x2 + eta) * (pair.sigma_y2 + eta))
-        )
+        return _expansion_cosine(d, pair.sigma_x2, pair.sigma_y2, eta)
 
     b0 = bracket(0.0)
     floor = (1.0 - epsilon) * b0 * b0

@@ -102,8 +102,8 @@ class TestChiSquareExponent:
             assert mid <= chord + 1e-12
 
     def test_vectorized_grid_matches_scalar(self):
-        # the scans evaluate E_Z on whole grids; only np.log and math.log may
-        # round differently
+        # the scans evaluate E_Z on whole grids; np.log may round an array
+        # element and a scalar differently
         rho = np.arange(1, 401) * (4.0 / 400)
         want = [chi_square_exponent(float(r)) for r in rho]
         assert _chi_square_exponents(rho) == pytest.approx(want, rel=1e-14, abs=1e-16)

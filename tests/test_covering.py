@@ -283,8 +283,7 @@ class TestNearestCenter:
         covered = _covered(units, len(units), rows, stop)
         assert np.array_equal(covered, cos.max(axis=1) >= stop)
 
-        buf = np.empty(_TILE * _CENTER_CHUNK)
-        idx, best = _nearest(units, len(units), rows, buf)
+        idx, best = _nearest(units, len(units), rows)
         assert np.array_equal(idx, cos.argmax(axis=1))
         assert np.array_equal(best, cos.max(axis=1))
 
@@ -345,9 +344,8 @@ class TestNearestCenter:
         units[:m] /= np.linalg.norm(units[:m], axis=1, keepdims=True)
         rows = rng.standard_normal((_TILE + 300, n))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        buf = np.empty(_TILE * _CENTER_CHUNK)
-        idx, best = _nearest(units, m, rows, buf)
-        want_idx, want_best = _nearest(units[:m].copy(), m, rows, buf)
+        idx, best = _nearest(units, m, rows)
+        want_idx, want_best = _nearest(units[:m].copy(), m, rows)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(best, want_best)
         assert np.isfinite(best).all()

@@ -67,6 +67,20 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(n=8, d=0.4, sigma_x2=1.0, eta=0.1, mode="other")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["d", "sigma_x2", "eta", "sigma_max2"])
+    def test_non_finite_field_rejected(self, name, value):
+        # a non-finite eta or sigma_max2 makes num_shells zero or uncomputable
+        good = dict(n=8, d=0.4, sigma_x2=1.0, eta=0.1, mode="shape_gain")
+        with pytest.raises(ValueError, match=f"^'{name}' must be finite"):
+            SchemeConfig(**{**good, name: value})
+
+    def test_out_of_range_shell_indices_summarized(self, gain8):
+        index = np.array([0, -1, 5, 80, 3] * 1000)
+        with pytest.raises(ValueError) as exc:
+            gain8.shell_radii(index)
+        assert str(exc.value) == "2000 shell indices outside [0, 80), the first -1"
+
 
 class TestAssignSignature:
     def test_center_direction_maps_to_center(self, basic8, code8):
@@ -151,9 +165,9 @@ class TestSkipErasedRows:
         # erased rows are reported erased, with center 0
         searched = []
 
-        def counting(units, m, block, buf):
+        def counting(units, m, block):
             searched.append(block.shape[0])
-            return _nearest(units, m, block, buf)
+            return _nearest(units, m, block)
 
         monkeypatch.setattr(scheme_module, "_nearest", counting)
         X = self.mixed_rows(3000, 51)
@@ -391,6 +405,19 @@ class TestSerialization:
             edited = tmp_path / "edited.json"
             edited.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=name):
+                load_scheme(edited)
+
+    def test_non_finite_field_rejected(self, tmp_path, gain8, code8):
+        # JSON's Infinity and NaN parse as floats, so the type check passes them
+        path = tmp_path / "scheme.json"
+        save_scheme(gain8, code8, path)
+        for key, value in (("eta", math.inf), ("sigma_max2", math.nan)):
+            payload = json.loads(path.read_text())
+            payload["scheme"][key] = value
+            edited = tmp_path / f"edited_{key}.json"
+            edited.write_text(json.dumps(payload))
+            assert f'"{key}": {json.dumps(value)}' in edited.read_text()
+            with pytest.raises(ValueError, match=f"'{key}' must be finite"):
                 load_scheme(edited)
 
 
