@@ -190,6 +190,29 @@ class TestShardThreads:
         assert results == [(3 * SHARD_SIZE,)] * 100
         assert blas_get() == 2
 
+    def test_concurrency_is_threads_capped_by_shards(self, monkeypatch):
+        # at most min(QUADSIG_THREADS, shards) shards run at once, also after
+        # the thread count shrinks between runs
+        lock = threading.Lock()
+        live = peak = 0
+
+        def worker(rng, count):
+            nonlocal live, peak
+            with lock:
+                live += 1
+                peak = max(peak, live)
+            time.sleep(0.05)
+            with lock:
+                live -= 1
+            return (count,)
+
+        for threads, shards, want in (("4", 5, 4), ("2", 5, 2), ("3", 2, 2)):
+            monkeypatch.setenv("QUADSIG_THREADS", threads)
+            peak = 0
+            trials = shards * SHARD_SIZE
+            assert _run_sharded(trials, 1, worker) == (trials,)
+            assert peak == want
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
     def test_forked_child_runs_shards(self, monkeypatch):
