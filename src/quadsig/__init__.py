@@ -6,71 +6,11 @@ signature schemes (sphere-covering direction quantizer plus amplitude shells)
 that meet that guarantee exactly at any blocklength.
 """
 
-from .analysis import (
-    GaussianPair,
-    ExponentSolution,
-    TestChannel,
-    angle_probability_exponent,
-    chi_square_exponent,
-    gaussian_test_channel,
-    id_exponent,
-    id_exponent_symmetric,
-    id_rate,
-    id_rate_symmetric,
-    similarity_exponent,
-    test_channel_constraint_gap,
-    test_channel_moments,
-    test_channel_rate_bound,
-)
-from .covering import (
-    CoveringCode,
-    CoveringReport,
-    build_covering,
-    load_covering,
-    nearest_center,
-    predicted_size_bounds,
-    save_covering,
-    verify_covering,
-)
-from .errors import DegenerateDataError, DomainError, PreconditionError
-from .geometry import (
-    CapFractionBounds,
-    CapSpec,
-    ExpansionAngle,
-    angle_between,
-    cap_fraction_bounds,
-    cap_fraction_exact,
-    expansion_cone_angle,
-    law_of_cosines_angle,
-    min_distance_to_thick_cap,
-)
-from .scheme import (
-    ERASURE,
-    SchemeConfig,
-    SchemePlan,
-    Signature,
-    Verdict,
-    assign_many,
-    assign_signature,
-    cell_cap,
-    load_scheme,
-    plan_scheme,
-    query,
-    query_many,
-    rate_of,
-    save_scheme,
-)
-from .simulate import (
-    ExponentFit,
-    SourceSpec,
-    TrialEstimate,
-    audit_admissibility,
-    chi_square_tail_bound,
-    estimate_maybe_probability,
-    estimate_similarity_probability,
-    fit_exponent,
-    robustness_experiment,
-    sample_pair,
-)
+from .analysis import *  # noqa: F403
+from .covering import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .scheme import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -92,8 +92,8 @@ def id_rate(pair: GaussianPair, d: float) -> float:
     0 below the variance-mismatch floor, log2(2 s_x s_y / (s_x^2 + s_y^2 - d))
     in the middle regime, and infinite once similarity becomes typical.
     """
-    if d < 0.0:
-        raise ValueError("d must be nonnegative")
+    if not d >= 0.0:
+        raise ValueError(f"d must be nonnegative, not {d}")
     sx = math.sqrt(pair.sigma_x2)
     sy = math.sqrt(pair.sigma_y2)
     if d < (sx - sy) ** 2:

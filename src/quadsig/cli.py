@@ -25,7 +25,13 @@ from .analysis import (
 from .covering import build_covering, save_covering, verify_covering
 from .errors import DomainError, PreconditionError
 from .scheme import rate_of
-from .simulate import SourceSpec, _schemes, estimate_maybe_probability, fit_exponent
+from .simulate import (
+    _FAMILIES,
+    SourceSpec,
+    _schemes,
+    estimate_maybe_probability,
+    fit_exponent,
+)
 
 USAGE_ERROR = 2
 REFUSAL = 3
@@ -43,17 +49,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(lines: list[str], out: str | None) -> None:
+def _emit(out: str | None, config: dict, columns: str, rows: list[str]) -> None:
+    """Write a CSV table, to stdout when out is None: the '#' JSON config
+    line, the column line, then the rows."""
+    lines = ["# " + json.dumps(config, sort_keys=True), columns, *rows]
     payload = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(payload)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-
-
-def _config_header(config: dict) -> str:
-    return "# " + json.dumps(config, sort_keys=True)
 
 
 def _flags(args) -> dict:
@@ -66,28 +71,18 @@ def _cmd_rate(args) -> int:
     value = id_rate(pair, args.d)
     print(_fmt_rate(value))
     if args.out:
-        _emit(
-            [
-                _config_header(_flags(args)),
-                "sigma_x2,sigma_y2,d,id_rate",
-                f"{args.sigma_x2!r},{args.sigma_y2!r},{args.d!r},{_fmt_rate(value)}",
-            ],
-            args.out,
-        )
+        row = f"{args.sigma_x2!r},{args.sigma_y2!r},{args.d!r},{_fmt_rate(value)}"
+        _emit(args.out, _flags(args), "sigma_x2,sigma_y2,d,id_rate", [row])
     return 0
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop; none if a bound or step is NaN."""
     if step <= 0.0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
     values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:
-            break
-        values.append(v)
-        k += 1
+    while start + len(values) * step <= stop + 1e-12:
+        values.append(start + len(values) * step)
     if not values:
         raise ValueError("empty sweep range")
     return values
@@ -95,37 +90,28 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     values = _sweep_values(args.start, args.stop, args.step)
-    config = {
-        "command": "sweep",
-        "axis": args.axis,
-        "start": args.start,
-        "stop": args.stop,
-        "step": args.step,
-    }
-    lines: list[str] = []
+    # the config names only the flags that this axis reads
+    reads = {"sigma_y2": ("sigma_x2", "d"), "d": ("sigma2",), "rate": ("sigma2", "d")}
+    keys = ("command", "axis", "start", "stop", "step", *reads[args.axis])
+    config = {key: getattr(args, key) for key in keys}
+    rows: list[str] = []
     if args.axis == "sigma_y2":
-        config.update({"sigma_x2": args.sigma_x2, "d": args.d})
-        lines.append(_config_header(config))
-        lines.append("sigma_y2,id_rate")
+        columns = "sigma_y2,id_rate"
         for v in values:
             r = id_rate(GaussianPair(args.sigma_x2, v), args.d)
-            lines.append(f"{v!r},{_fmt_rate(r)}")
+            rows.append(f"{v!r},{_fmt_rate(r)}")
     elif args.axis == "d":
-        config.update({"sigma2": args.sigma2})
-        lines.append(_config_header(config))
-        lines.append("d,id_rate,rate_distortion")
+        columns = "d,id_rate,rate_distortion"
         for v in values:
             r = id_rate_symmetric(args.sigma2, v)
             rd = max(0.0, 0.5 * math.log2(args.sigma2 / v)) if v > 0 else math.inf
-            lines.append(f"{v!r},{_fmt_rate(r)},{_fmt_rate(rd)}")
+            rows.append(f"{v!r},{_fmt_rate(r)},{_fmt_rate(rd)}")
     else:  # axis == "rate"
-        config.update({"sigma2": args.sigma2, "d": args.d})
-        lines.append(_config_header(config))
-        lines.append("rate,id_exponent")
+        columns = "rate,id_exponent"
         for v in values:
             sol = id_exponent_symmetric(args.sigma2, args.d, v)
-            lines.append(f"{v!r},{sol.value:.9f}")
-    _emit(lines, args.out)
+            rows.append(f"{v!r},{sol.value:.9f}")
+    _emit(args.out, config, columns, rows)
     return 0
 
 
@@ -140,15 +126,10 @@ def _cmd_exponent(args) -> int:
     print(f"on_sum_boundary: {sol.on_sum_boundary}")
     print(f"similarity_exponent_ceiling: {ceiling:.9f} bits/symbol")
     if args.out:
-        _emit(
-            [
-                _config_header(_flags(args)),
-                "rate,id_exponent,rho_x,rho_y,similarity_exponent",
-                f"{args.rate!r},{sol.value:.9f},{sol.rho_x:.9f},{sol.rho_y:.9f},"
-                f"{ceiling:.9f}",
-            ],
-            args.out,
-        )
+        columns = "rate,id_exponent,rho_x,rho_y,similarity_exponent"
+        row = (f"{args.rate!r},{sol.value:.9f},{sol.rho_x:.9f},{sol.rho_y:.9f},"
+               f"{ceiling:.9f}")
+        _emit(args.out, _flags(args), columns, [row])
     return 0
 
 
@@ -171,15 +152,8 @@ def _cmd_simulate(args) -> int:
     pair = GaussianPair(args.sigma_x2, args.sigma_y2)
     spec_x = SourceSpec(args.dist_x, args.sigma_x2)
     spec_y = SourceSpec(args.dist_y, args.sigma_y2)
-    config = {**_flags(args), "n_list": n_list}
-    exp_id = (
-        f"{args.dist_x}_{args.dist_y}_r{args.rate:g}_d{args.d:g}_s{args.seed}"
-    )
-    lines = [
-        _config_header(config),
-        "experiment_id,n,rate,d,family_x,family_y,trials,p_hat,ci_low,ci_high,"
-        "false_negatives,seed",
-    ]
+    exp_id = f"{args.dist_x}_{args.dist_y}_r{args.rate:g}_d{args.d:g}_s{args.seed}"
+    rows = []
     violations = 0
     schemes = _schemes(
         pair, args.d, args.rate, n_list, args.epsilon, args.mode,
@@ -190,12 +164,14 @@ def _cmd_simulate(args) -> int:
             plan.config, code, spec_x, spec_y, args.trials, trial_seed
         )
         violations += est.false_negative_count
-        lines.append(
+        rows.append(
             f"{exp_id},{n},{rate_of(plan.config, code):.6f},{args.d!r},"
             f"{args.dist_x},{args.dist_y},{args.trials},{est.p_hat!r},"
             f"{est.ci_low!r},{est.ci_high!r},{est.false_negative_count},{args.seed}"
         )
-    _emit(lines, args.out)
+    columns = ("experiment_id,n,rate,d,family_x,family_y,trials,p_hat,ci_low,"
+               "ci_high,false_negatives,seed")
+    _emit(args.out, {**_flags(args), "n_list": n_list}, columns, rows)
     if violations:
         print(
             f"admissibility violated: {violations} false negative(s)", file=sys.stderr
@@ -261,11 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
         "signature schemes for quadratic similarity queries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gaussian_pair = argparse.ArgumentParser(add_help=False)
+    gaussian_pair.add_argument("--sigma-x2", type=float, required=True)
+    gaussian_pair.add_argument("--sigma-y2", type=float, required=True)
+    gaussian_pair.add_argument("--d", type=float, required=True)
 
-    p = sub.add_parser("rate", help="identification rate for a Gaussian pair")
-    p.add_argument("--sigma-x2", type=float, required=True)
-    p.add_argument("--sigma-y2", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
+    p = sub.add_parser(
+        "rate", parents=[gaussian_pair], help="identification rate for a Gaussian pair"
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_rate)
 
@@ -280,10 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("exponent", help="identification exponent at a rate")
-    p.add_argument("--sigma-x2", type=float, required=True)
-    p.add_argument("--sigma-y2", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
+    p = sub.add_parser(
+        "exponent", parents=[gaussian_pair], help="identification exponent at a rate"
+    )
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exponent)
@@ -305,10 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--sigma-x2", type=float, default=1.0)
     p.add_argument("--sigma-y2", type=float, default=1.0)
-    p.add_argument("--dist-x", choices=["gaussian", "uniform", "laplace"],
-                   default="gaussian")
-    p.add_argument("--dist-y", choices=["gaussian", "uniform", "laplace"],
-                   default="gaussian")
+    p.add_argument("--dist-x", choices=_FAMILIES, default="gaussian")
+    p.add_argument("--dist-y", choices=_FAMILIES, default="gaussian")
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["basic", "shape_gain"], default="basic")

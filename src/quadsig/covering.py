@@ -44,8 +44,7 @@ __all__ = [
 _BATCH = 8192  # fixed so the sample stream is reproducible
 _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
 # Rows per GEMM: a (_TILE, _CENTER_CHUNK) cosine tile is 4 MB, so the argmax
-# reads it back from cache.  Callers with many rows allocate one fixed-size
-# _TILE * _CENTER_CHUNK workspace, which the allocator reuses across calls.
+# reads it back from cache.  Each search allocates one such workspace.
 _TILE = 1024
 
 
@@ -126,6 +125,15 @@ def _covered(units, m, block, thr) -> np.ndarray:
     return covered
 
 
+def _check_shell(sigma2: float, d0: float) -> None:
+    """Raise a ValueError unless sigma2 and d0 are finite and 0 < d0 < sigma2."""
+    for name, value in (("sigma2", sigma2), ("d0", d0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name!r} must be finite, not {value}")
+    if not 0.0 < d0 < sigma2:
+        raise ValueError("need 0 < d0 < sigma2")
+
+
 def _theta0(sigma2: float, d0: float) -> float:
     """Half-angle of the cap a center's cover ball carves out of the shell."""
     return math.asin(math.sqrt(d0 / sigma2))
@@ -148,11 +156,12 @@ class CoveringCode:
     _units: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.d0 < self.sigma2:
-            raise ValueError("need 0 < d0 < sigma2")
+        _check_shell(self.sigma2, self.d0)
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != self.n or centers.shape[0] < 1:
             raise ValueError("centers must be a nonempty (m, n) array")
+        if not np.isfinite(centers).all():
+            raise ValueError("'centers' must be finite")
         norms = np.linalg.norm(centers, axis=1)
         if not np.allclose(norms, self.center_norm, rtol=1e-9, atol=0.0):
             raise ValueError("every center must have norm sqrt(n * (sigma2 - d0))")
@@ -230,8 +239,7 @@ def build_covering(
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if not 0.0 < d0 < sigma2:
-        raise ValueError("need 0 < d0 < sigma2")
+    _check_shell(sigma2, d0)
     if audit_samples < 1:
         raise ValueError("audit_samples must be at least 1")
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "PreconditionError", "DegenerateDataError"]
+
 
 class DomainError(ValueError):
     """A parameter lies outside the mathematical domain of the operation."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import GaussianPair, _check_rate
 from .covering import CoveringCode, _covering_from_payload, _covering_payload, _field
-from .covering import _BATCH, _nearest, _theta0
+from .covering import _nearest, _theta0
 from .errors import PreconditionError
 from .geometry import CapSpec, _cap_distances, _check_vector, _expansion_cosine
 from .geometry import expansion_cone_angle
@@ -218,13 +218,11 @@ def assign_many(
         )
 
     live = np.flatnonzero(~erased)
+    units = X[live]
+    units /= np.sqrt(norm2[live])[:, None]
     centers_idx = np.zeros(m, dtype=np.int64)
-    for lo in range(0, live.size, _BATCH):
-        rows = live[lo : lo + _BATCH]
-        units = X[rows]
-        units /= np.sqrt(norm2[rows])[:, None]
-        centers_idx[rows], cos_best = _nearest(code._units, code.size, units)
-        erased[rows] = cos_best < code.cos_theta0
+    centers_idx[live], cos_best = _nearest(code._units, code.size, units)
+    erased[live] = cos_best < code.cos_theta0
     return centers_idx, shells, erased
 
 

@@ -6,7 +6,8 @@ SeedSequence(seed).spawn(...)[i], and results merge by summation, so estimates
 are reproducible bit for bit regardless of how many worker threads run them.
 QUADSIG_THREADS caps shard parallelism (default: the usable CPUs).  While more
 than one shard thread runs, numpy's OpenBLAS is held at one thread, so shard
-threads and BLAS threads do not compete for the cores.
+threads and BLAS threads do not compete for the cores.  Sharded runs started
+from several threads take turns, one pooled run at a time.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}")
-        if self.variance <= 0.0:
-            raise ValueError("variance must be positive")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError(f"variance must be positive and finite: {self.variance}")
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.family == "gaussian":
@@ -166,75 +167,52 @@ def _openblas_threads():
     return None
 
 
-class _ShardPool:
-    """The shard threads of the process, kept across calls.
-
-    Threads made afresh for every call would each start on a new malloc
-    arena and grow peak memory from call to call.  While any run is active,
-    OpenBLAS is held at one thread; the count in force before the first of
-    the overlapping runs is restored when the last one ends.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._executor = None
-        self._size = 0
-        self._active = 0
-        self._saved = 0
-
-    def run(self, lanes: int, fn) -> list:
-        """[fn(0), ..., fn(lanes - 1)], each on its own pool thread."""
-        blas = _openblas_threads()
-        with self._lock:
-            if self._size < lanes:
-                # the old executor's idle threads exit once it is unreferenced
-                self._executor = ThreadPoolExecutor(lanes, "quadsig-shard")
-                self._size = lanes
-            executor = self._executor
-            if self._active == 0 and blas is not None:
-                self._saved = blas[0]()
-                blas[1](1)
-            self._active += 1
-        try:
-            futures = [executor.submit(fn, j) for j in range(lanes)]
-            wait(futures)
-            return [f.result() for f in futures]
-        finally:
-            with self._lock:
-                self._active -= 1
-                if self._active == 0 and blas is not None:
-                    blas[1](self._saved)
+# The shard threads are kept across calls: threads made afresh for every call
+# would each start on a new malloc arena and grow peak memory from call to
+# call.  One pooled run at a time holds the lock.
+_lock = threading.Lock()
+_pool = None  # (thread count, executor)
 
 
-_POOL = _ShardPool()
+def _reset_pool() -> None:
+    """A forked child inherits none of the pool's threads: start afresh."""
+    global _lock, _pool
+    _lock, _pool = threading.Lock(), None
+
+
 if hasattr(os, "register_at_fork"):
-    # a forked child inherits none of the pool's threads, so it starts afresh
-    os.register_at_fork(after_in_child=_POOL.__init__)
+    os.register_at_fork(after_in_child=_reset_pool)
 
 
 def _run_sharded(trials: int, seed: int, worker):
     """worker(rng, count) -> tuple of summable ints; returns elementwise sums."""
+    global _pool
     if trials < 1:
         raise ValueError("trials must be at least 1")
     num_shards = (trials + SHARD_SIZE - 1) // SHARD_SIZE
     children = np.random.SeedSequence(seed).spawn(num_shards)
-    sizes = [
-        SHARD_SIZE if i < num_shards - 1 else trials - SHARD_SIZE * (num_shards - 1)
-        for i in range(num_shards)
-    ]
+    sizes = [min(SHARD_SIZE, trials - i * SHARD_SIZE) for i in range(num_shards)]
 
     def run(i):
         return worker(np.random.default_rng(children[i]), sizes[i])
 
-    lanes = min(_threads(), num_shards)
-    if lanes == 1:
+    threads = _threads()
+    if min(threads, num_shards) == 1:
         results = [run(i) for i in range(num_shards)]
     else:
-        # lane j runs shards j, j + lanes, ...; the sums ignore the order
-        by_lane = _POOL.run(
-            lanes, lambda j: [run(i) for i in range(j, num_shards, lanes)]
-        )
-        results = [r for lane in by_lane for r in lane]
+        get, put = _openblas_threads() or (lambda: 0, lambda count: None)
+        with _lock:
+            if _pool is None or _pool[0] != threads:
+                # the old executor's idle threads exit once it is unreferenced
+                _pool = (threads, ThreadPoolExecutor(threads, "quadsig-shard"))
+            saved = get()
+            put(1)
+            try:
+                futures = [_pool[1].submit(run, i) for i in range(num_shards)]
+                wait(futures)
+                results = [f.result() for f in futures]
+            finally:
+                put(saved)
     return tuple(int(sum(parts)) for parts in zip(*results))
 
 
@@ -272,6 +250,10 @@ def estimate_similarity_probability(
     seed: int,
 ) -> TrialEstimate:
     """Monte Carlo estimate of Pr{d(X, Y) <= d} for independent sources."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not d >= 0.0:
+        raise ValueError(f"d must be nonnegative, not {d}")
 
     def worker(rng: np.random.Generator, count: int):
         diff = spec_x.draw(rng, (count, n)) - spec_y.draw(rng, (count, n))
@@ -336,13 +318,14 @@ def chi_square_tail_bound(n: int, sigma2: float) -> float:
     """Chernoff bound exp(-n^2/4) * 2^(n/2) on Pr{|X|^2 > n^2 sigma2}.
 
     Scale-free: the threshold n^2 sigma2 grows with the variance, so sigma2
-    cancels.  Decays super-exponentially in n.
+    cancels.  Decays super-exponentially in n; evaluated as one exp, so it
+    underflows to 0 where 2^(n/2) alone would overflow.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
-    return math.exp(-n * n / 4.0) * 2.0 ** (n / 2.0)
+    return math.exp(-n * n / 4.0 + (n / 2.0) * math.log(2.0))
 
 
 def _schemes(pair, d, target_rate, n_list, epsilon, mode, audit_samples, seed):

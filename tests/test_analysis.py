@@ -80,6 +80,10 @@ class TestIdRate:
         with pytest.raises(ValueError):
             id_rate(GaussianPair(1.0, 1.0), -0.1)
 
+    def test_nan_d_rejected(self):
+        with pytest.raises(ValueError, match="d must be nonnegative"):
+            id_rate(GaussianPair(1.0, 1.0), math.nan)
+
 
 class TestChiSquareExponent:
     def test_zero_only_at_one(self):

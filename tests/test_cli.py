@@ -38,6 +38,13 @@ class TestRate:
             main(["rate", "--sigma-x2", "1", "--sigma-y2", "1"])
         assert exc.value.code == 2
 
+    def test_nan_d_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "rate", "--sigma-x2", "1", "--sigma-y2", "1",
+                           "--d", "nan")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: d must be nonnegative")
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "rate.csv"
         rc, _, _ = run(capsys, "rate", "--sigma-x2", "1", "--sigma-y2", "1",
@@ -94,6 +101,16 @@ class TestSweep:
                          "--d", "1.5")
         assert rc == 3
         assert "identification rate" in err
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [("nan", "1.0", "0.1"), ("0.5", "nan", "0.1"), ("0.5", "1.0", "nan")],
+    )
+    def test_nan_range_is_usage_error(self, capsys, start, stop, step):
+        rc, _, err = run(capsys, "sweep", "--axis", "d", "--start", start,
+                         "--stop", stop, "--step", step)
+        assert rc == 2
+        assert err == "error: empty sweep range\n"
 
     def test_empty_range_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "sweep", "--axis", "d", "--start", "1.0",

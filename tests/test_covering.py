@@ -87,6 +87,22 @@ class TestBuildCovering:
         with pytest.raises(ValueError):
             build_covering(4, 1.0, 0.0, seed=1)
 
+    @pytest.mark.parametrize(
+        "sigma2, d0, field",
+        [(math.inf, 0.5, "sigma2"), (math.nan, 0.5, "sigma2"),
+         (1.0, math.nan, "d0"), (1.0, -math.inf, "d0")],
+    )
+    def test_non_finite_shell_rejected(self, sigma2, d0, field):
+        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+            build_covering(8, sigma2, d0, 1, 200)
+        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+            CoveringCode(n=2, sigma2=sigma2, d0=d0, centers=[[math.inf, 0.0]])
+
+    def test_non_finite_centers_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="'centers' must be finite"):
+                CoveringCode(n=2, sigma2=1.0, d0=0.5, centers=[[bad, 0.0]])
+
     def test_rate_within_budget(self, small_code):
         rep = verify_covering(small_code, 10_000, seed=3)
         assert rep.rate <= rep.bound + rep.overhead_budget
@@ -393,6 +409,15 @@ class TestSerialization:
         save_covering(circle_code, path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=message):
+            load_covering(path)
+
+    def test_non_finite_shell_file_rejected(self, tmp_path):
+        # json reads Infinity as a float, so only the code's own check stops it
+        path = tmp_path / "inf.json"
+        payload = {"n": 2, "sigma2": math.inf, "d0": 0.5, "seed": None,
+                   "centers": [[math.inf, 0.0]]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="'sigma2' must be finite"):
             load_covering(path)
 
 

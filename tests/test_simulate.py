@@ -75,6 +75,11 @@ class TestSources:
         with pytest.raises(ValueError):
             SourceSpec("cauchy", 1.0)
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, 0.0])
+    def test_bad_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            SourceSpec("gaussian", variance)
+
 
 class TestSimilarityProbability:
     def test_impossible_and_certain_thresholds(self):
@@ -84,6 +89,13 @@ class TestSimilarityProbability:
         assert zero.ci_high == pytest.approx(3.0 / 10_000)
         one = estimate_similarity_probability(g, g, 50.0, 16, 10_000, 3)
         assert one.p_hat == 1.0
+
+    def test_degenerate_inputs_rejected(self):
+        g = SourceSpec("gaussian", 1.0)
+        with pytest.raises(ValueError, match="n must be positive"):
+            estimate_similarity_probability(g, g, 1.5, 0, 1_000, 3)
+        with pytest.raises(ValueError, match="d must be nonnegative"):
+            estimate_similarity_probability(g, g, math.nan, 16, 1_000, 3)
 
     def test_matches_chi_square_reference(self):
         # P(chi2_16 <= 12) = 0.25602 for unit variances at d = 1.5
@@ -373,6 +385,11 @@ class TestChiSquareTailBound:
         assert chi_square_tail_bound(10, 3.7) == pytest.approx(
             math.exp(-25.0) * 2.0**5, rel=1e-12
         )
+
+    @pytest.mark.parametrize("n", [2048, 10_000])
+    def test_large_n_underflows_to_zero(self, n):
+        # 2^(n/2) alone overflows a double from n = 2048
+        assert chi_square_tail_bound(n, 1.0) == 0.0
 
     def test_monotone_decreasing(self):
         # strictly decreasing while representable; underflows to 0 near n=60
