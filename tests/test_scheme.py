@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -25,6 +26,7 @@ from quadsig.scheme import (
     rate_of,
     save_scheme,
 )
+from quadsig.simulate import SourceSpec
 
 PAIR = GaussianPair(1.0, 1.0)
 
@@ -474,3 +476,35 @@ class TestNonFiniteInput:
         for config in (basic8, gain8):
             for x in self.bad_points():
                 assert assign_signature(config, code8, x) is ERASURE
+
+
+class TestSeededAssignment:
+    """assign_many's outputs on seeded rows, pinned by SHA-256 so that a
+    change to the nearest-center kernel cannot move one row unnoticed.
+
+    The n = 40 plan's covering (seed 4001) has 1,398 centers, more than
+    2 * _CENTER_CHUNK, so the search crosses two chunk boundaries and ends in
+    a partial chunk; 16,384 rows cross fifteen row-tile boundaries."""
+
+    FINGERPRINTS = {
+        ("basic", "gaussian", 71):
+            "994e75577a7dff1ef7e01279cc7cc371c553892b00486430599586cd39b4da1e",
+        ("shape_gain", "laplace", 72):
+            "d79ac9c5e0be69ad59ba0449ff3150aeda0ea776ea969dc93556cd2a3d4a6f2e",
+    }
+
+    @pytest.fixture(scope="class")
+    def code40(self):
+        plan = plan_scheme(PAIR, 0.02, id_rate(PAIR, 0.02) + 0.5, 40, 0.1)
+        return build_covering(40, 1.0, plan.d0, seed=4001, audit_samples=5000)
+
+    @pytest.mark.parametrize("mode, family, seed", list(FINGERPRINTS))
+    def test_fingerprint(self, code40, mode, family, seed):
+        assert code40.size == 1398
+        plan = plan_scheme(PAIR, 0.02, id_rate(PAIR, 0.02) + 0.5, 40, 0.1, mode=mode)
+        assert plan.d0 == code40.d0
+        X = SourceSpec(family, 1.0).draw(np.random.default_rng(seed), (16_384, 40))
+        ci, _, er = assign_many(plan.config, code40, X)
+        assert (~er).sum() > 1000
+        digest = hashlib.sha256(ci.tobytes() + er.tobytes()).hexdigest()
+        assert digest == self.FINGERPRINTS[mode, family, seed]
