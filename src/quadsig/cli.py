@@ -209,6 +209,11 @@ def _read_simulation_csv(path: str) -> tuple[dict, list[dict]]:
                 row["p_hat"] = float(row["p_hat"])
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: {exc}")
+            if not 0.0 <= row["p_hat"] <= 1.0:
+                raise ValueError(
+                    f"line {lineno}: p_hat must be a probability in [0, 1], "
+                    f"not {row['p_hat']}"
+                )
             rows.append(row)
     if header is None or not rows:
         raise ValueError("line 0: no data rows found")

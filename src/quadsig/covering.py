@@ -11,18 +11,20 @@ erasure, so coverage gaps cost extra maybe-mass, never correctness.
 
 Building and verifying ask only whether a sample is covered; signature
 assignment needs the nearest center itself.  The two questions have one
-kernel each.  `_nearest` walks the samples in row tiles and searches every
-center in float64.  `_covered` screens in float32, where GEMM runs about
-twice as fast, and certifies in float64: a float32 cosine of two exactly
-unit vectors lies within g = (n + 2) u / (1 - (n + 2) u), u = 2^-24, of the
-exact one (the rounding of both inputs, then Higham's dot-product bound).
-The band's half-width is gamma = 2 g.  The factor 2 is a margin for the two
-gaps the bound leaves out, each far below g: the rows are unit only to
-float64 rounding, and the answer to reproduce is the float64 product's, not
-the exact cosine.  A sample whose float32 cosine to some center clears
-cos theta0 + gamma is covered, and one whose float32 cosines all stay below
-cos theta0 - gamma is not.  Only a sample left inside that band, which is
-rare, is decided by a float64 product, so every decision is the float64 one.
+kernel each, `_covered` and `_nearest`, and both screen in float32, where
+GEMM runs about twice as fast, and certify in float64: a float32 cosine of
+two exactly unit vectors lies within g = (n + 2) u / (1 - (n + 2) u),
+u = 2^-24, of the exact one (the rounding of both inputs, then Higham's
+dot-product bound).  The band's half-width is gamma = 2 g (`_gamma`).  The
+factor 2 is a margin for the two gaps the bound leaves out, each far below
+g: the rows are unit only to float64 rounding, and the answer to reproduce
+is the float64 product's (`_cosines`), not the exact cosine.  A sample whose
+float32 cosine to some center clears cos theta0 + gamma is covered, and one
+whose float32 cosines all stay below cos theta0 - gamma is not.  A nearest
+center whose float32 cosine beats every other center's by more than
+2 gamma is the float64 product's nearest center too.  Only the samples the
+screen leaves open, which are rare, are decided by the float64 product, so
+every decision is the float64 one.
 """
 
 from __future__ import annotations
@@ -48,39 +50,73 @@ _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
 _TILE = 1024
 
 
-def _nearest(units, m, block) -> tuple[np.ndarray, np.ndarray]:
-    """(index, cosine) of the nearest of the first m unit centers for each
-    row of a block of unit rows.  Ties break to the lowest index: only a
-    strictly larger cosine replaces the incumbent.
+def _gamma(n: int) -> float:
+    """Half-width of the float32 screen's band at dimension n: twice
+    Higham's bound on a float32 cosine of two unit n-vectors (module
+    docstring)."""
+    nu = (n + 2) * 2.0**-24
+    return 2.0 * nu / (1.0 - nu)
 
-    The block is walked in tiles of at most _TILE rows.  Each center chunk's
-    cosines land in a (rows, chunk) view of one flat workspace, and their row
-    argmax, read while the tile is in cache, updates the tile's `idx`/`best`.
-    Whether a row is covered at all is `_covered`'s question, not this one's.
-    """
-    b = block.shape[0]
-    idx = np.zeros(b, dtype=np.int64)
-    best = np.full(b, -2.0)
-    buf = np.empty(min(b, _TILE) * _CENTER_CHUNK)
-    for r0 in range(0, b, _TILE):
-        tile = block[r0 : r0 + _TILE]
-        t = tile.shape[0]
-        tidx, tbest, rows = idx[r0 : r0 + t], best[r0 : r0 + t], np.arange(t)
-        for lo in range(0, m, _CENTER_CHUNK):
-            k = min(_CENTER_CHUNK, m - lo)
-            cos = buf[: t * k].reshape(t, k)
-            np.dot(tile, units[lo : lo + k].T, out=cos)
-            loc = cos.argmax(axis=1)
-            val = cos[rows, loc]
-            upd = val > tbest
-            tidx[upd], tbest[upd] = lo + loc[upd], val[upd]
-    return idx, best
+
+def _cosines(units, rows):
+    """The float64 certificate: cosines of the unit centers (axis 0) to the
+    unit rows (axis 1), or to one row given as a vector.  Every decision the
+    float32 screen leaves open is taken from this product."""
+    return units @ rows.T
 
 
 def _reaches(units, rows, thr):
     """Whether some unit center reaches cosine thr, in float64, for each of
     the unit rows (or for one row given as a vector)."""
-    return (units @ rows.T).max(axis=0) >= thr
+    return _cosines(units, rows).max(axis=0) >= thr
+
+
+def _nearest(units, m, block) -> tuple[np.ndarray, np.ndarray]:
+    """(index, float64 cosine) of the nearest of the first m unit centers for
+    each row of a block of unit rows; the index is the argmax of `_cosines`,
+    ties broken to the lowest index.
+
+    The screen casts the centers and each tile of at most _TILE rows to
+    float32.  For each center chunk it takes the row argmax, masks it and
+    takes a second argmax, and folds both into the tile's running best and
+    runner-up.  A row whose best beats its runner-up by more than 2 gamma
+    has a unique nearest center: every other center's cosine is at most
+    runner-up + gamma < best - gamma.  The other rows, near-ties, are
+    re-decided by `_cosines`.  Each row's cosine is then one float64 dot
+    product with its center.  It matches the float64 product's to rounding,
+    so a threshold test on it can differ from one on the product only for a
+    cosine within a few ulps of the threshold, as in `_covered`.  Whether a
+    row is covered at all is `_covered`'s question.
+    """
+    b = block.shape[0]
+    gap = 2.0 * _gamma(block.shape[1])
+    idx = np.zeros(b, dtype=np.int64)
+    best = np.empty(b)
+    units32 = units[:m].astype(np.float32)
+    buf = np.empty(min(b, _TILE) * _CENTER_CHUNK, dtype=np.float32)
+    for r0 in range(0, b, _TILE):
+        tile = block[r0 : r0 + _TILE]
+        tile32 = tile.astype(np.float32)
+        t = tile.shape[0]
+        tidx, rows = idx[r0 : r0 + t], np.arange(t)
+        top = np.full(t, -np.inf, dtype=np.float32)
+        second = np.full(t, -np.inf, dtype=np.float32)
+        for c0 in range(0, m, _CENTER_CHUNK):
+            k = min(_CENTER_CHUNK, m - c0)
+            cos = buf[: t * k].reshape(t, k)
+            np.dot(tile32, units32[c0 : c0 + k].T, out=cos)
+            loc = cos.argmax(axis=1)
+            val = cos[rows, loc]
+            cos[rows, loc] = -np.inf
+            val2 = cos[rows, cos.argmax(axis=1)]
+            np.maximum(second, np.maximum(val2, np.minimum(val, top)), out=second)
+            upd = val > top
+            tidx[upd], top[upd] = c0 + loc[upd], val[upd]
+        near = np.flatnonzero(top - second.astype(float) <= gap)
+        if near.size:
+            tidx[near] = _cosines(units[:m], tile[near]).argmax(axis=0)
+        best[r0 : r0 + t] = np.einsum("ij,ij->i", tile, units[tidx])
+    return idx, best
 
 
 def _covered(units, m, block, thr) -> np.ndarray:
@@ -95,8 +131,7 @@ def _covered(units, m, block, thr) -> np.ndarray:
     float32.  A band row that no center covered is re-decided by `_reaches`.
     """
     b, n = block.shape
-    nu = (n + 2) * 2.0**-24
-    gamma = 2.0 * nu / (1.0 - nu)
+    gamma = _gamma(n)
     hi = np.nextafter(np.float32(thr + gamma), np.float32(np.inf))
     lo = np.nextafter(np.float32(thr - gamma), np.float32(-np.inf))
     units32 = units[:m].astype(np.float32)

@@ -192,7 +192,7 @@ def query(config: SchemeConfig, code: CoveringCode, sig: Signature, y) -> Verdic
 def assign_many(
     config: SchemeConfig, code: CoveringCode, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized assign_signature over the rows of X.
+    """Vectorized assign_signature over the rows of X, an (rows, n) array.
 
     Returns (center_idx, shell_idx, erased); center/shell entries are
     meaningless where erased is set.  Rows erased by amplitude (out of range,
@@ -200,6 +200,8 @@ def assign_many(
     surviving rows, packed together, go through the nearest-center kernel.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != config.n:
+        raise ValueError(f"expected X of shape (rows, {config.n}), not {X.shape}")
     m = X.shape[0]
     norm2 = np.einsum("ij,ij->i", X, X)
     s2 = norm2 / config.n
@@ -235,14 +237,21 @@ def query_many(
     Y: np.ndarray,
 ) -> np.ndarray:
     """Vectorized query over signature/query-point rows; True means maybe.
+    Y holds one query point of dimension n per signature.
 
     A row whose query point is not finite, or so large that its squared norm
     overflows, answers maybe without reaching the cap-distance formula.
     """
     Y = np.asarray(Y, dtype=float)
+    erased = np.asarray(erased, dtype=bool)
+    if Y.shape != (len(erased), config.n):
+        raise ValueError(
+            f"expected Y of shape ({len(erased)}, {config.n}), one row per "
+            f"signature, not {Y.shape}"
+        )
     maybe = np.ones(Y.shape[0], dtype=bool)
     finite = np.isfinite(np.einsum("ij,ij->i", Y, Y))
-    live = np.flatnonzero(~np.asarray(erased, dtype=bool) & finite)
+    live = np.flatnonzero(~erased & finite)
     if live.size == 0:
         return maybe
     inner, outer = config.shell_radii(shells_idx[live])

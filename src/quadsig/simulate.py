@@ -301,7 +301,14 @@ def audit_admissibility(
 
 
 def fit_exponent(points: list[tuple[int, float]]) -> ExponentFit:
-    """Least-squares slope of -log2 p_hat against n over points with p_hat > 0."""
+    """Least-squares slope of -log2 p_hat against n over points with p_hat > 0.
+
+    Raises a ValueError if some p_hat is not a probability in [0, 1]
+    (NaN and infinities included).
+    """
+    for n, p in points:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p_hat at n = {n} must lie in [0, 1], not {p}")
     usable = [(n, p) for n, p in points if p > 0.0]
     if len(usable) < 2:
         raise DegenerateDataError(

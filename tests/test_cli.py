@@ -228,6 +228,20 @@ class TestSimulateAndFit:
         assert rc == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("values, bad_line", [
+        (("0.5", "nan", "0.125", "inf"), 3),
+        (("0.5", "1.5", "-0.1"), 3),
+        (("0.5", "0.25", "-inf"), 4),
+    ])
+    def test_fit_refuses_non_probability(self, capsys, tmp_path, values, bad_line):
+        path = tmp_path / "bad_p.csv"
+        rows = [f"{n},{p}" for n, p in zip((8, 16, 32, 64), values)]
+        path.write_text("\n".join(["n,p_hat"] + rows) + "\n")
+        rc, out, err = run(capsys, "fit", "--input", str(path))
+        assert rc == 2
+        assert f"line {bad_line}" in err and "[0, 1]" in err
+        assert "fitted_exponent" not in out
+
     def test_fit_empty_is_error(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

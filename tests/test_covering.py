@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import greedy_covering_units
 
+import quadsig.covering as covering_module
 from quadsig.analysis import GaussianPair, id_rate
 from quadsig.covering import (
     _BATCH,
@@ -369,6 +370,108 @@ class TestNearestCenter:
         assert np.array_equal(covered, _covered(units[:m].copy(), m, rows, 0.8))
         assert np.array_equal(covered, best >= 0.8)
         assert (covered & (idx < _CENTER_CHUNK)).any()  # some rows retire early
+
+
+class TestNearestNearTies:
+    """`_nearest` screens in float32; rows whose two best float32 cosines
+    are too close to order are re-decided by the float64 certificate."""
+
+    N = 16
+    M = 2 * _CENTER_CHUNK + 37  # chunks 0, 1 and a partial last chunk
+    # (lower, higher) center index of each near-tied pair: within chunk 0,
+    # across chunks 0/1, and inside the partial last chunk
+    PAIRS = ((5, 300), (400, 600), (M - 30, M - 1))
+    DUPLICATES = ((50, 51), (700, 1040))  # exact copies of e_6 and e_7
+    ULPS = (-3, -2, -1, 1, 2, 3)
+
+    def near_tie_case(self):
+        """Centers and rows where every near-tied cosine is exact in float64
+        (a product with 1 plus products with 0), so the float64 argmax is
+        known in advance: pair p spans coordinates (2p, 2p + 1), and a row
+        there at (x, x + k ulp) has cosine x to the lower index and x + k ulp
+        to the higher one.  The other centers are orthogonal to coordinates
+        0..7, so their cosines to the near-tie rows are exactly 0."""
+        n, m = self.N, self.M
+        rng = np.random.default_rng(23)
+        units = np.zeros((m, n))
+        units[:, 8:] = rng.standard_normal((m, n - 8))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        eye = np.eye(n)
+        for p, (lo, hi) in enumerate(self.PAIRS):
+            units[lo], units[hi] = eye[2 * p], eye[2 * p + 1]
+        for c, pair in zip((6, 7), self.DUPLICATES):
+            units[list(pair)] = eye[c]
+
+        x = math.sqrt(0.5)
+        ulp = np.spacing(x)
+        ys = x + np.array(self.ULPS) * ulp
+        assert np.unique(np.r_[x, ys].astype(np.float32)).size == 1
+        ties, want_ties = [], []
+        for p, (lo, hi) in enumerate(self.PAIRS):
+            for k, y in zip(self.ULPS, ys):
+                row = np.zeros(n)
+                row[2 * p], row[2 * p + 1] = x, y
+                ties.append(row)
+                want_ties.append(hi if k > 0 else lo)
+        for c, (lo, _) in zip((6, 7), self.DUPLICATES):
+            row = np.zeros(n)
+            row[c], row[8:] = 0.9, rng.standard_normal(n - 8)
+            row[8:] *= math.sqrt(1.0 - 0.81) / np.linalg.norm(row[8:])
+            ties.append(row)
+            want_ties.append(lo)
+        ties = np.array(ties)
+
+        rows = rng.standard_normal((2 * _TILE + 100, n))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        at = []
+        for start in (_TILE - len(ties), _TILE):  # each side of a tile boundary
+            rows[start : start + len(ties)] = ties
+            at.extend(range(start, start + len(ties)))
+        return units, rows, np.array(at), np.array(want_ties * 2)
+
+    def test_near_ties_take_the_float64_argmax(self, monkeypatch):
+        units, rows, at, want_at = self.near_tie_case()
+        certified = []
+        cosines = covering_module._cosines
+
+        def spy(units_, rows_):
+            certified.append(rows_.copy())
+            return cosines(units_, rows_)
+
+        monkeypatch.setattr(covering_module, "_cosines", spy)
+        idx, best = _nearest(units, self.M, rows)
+
+        cos = rows @ units.T
+        assert np.array_equal(cos[at].argmax(axis=1), want_at)
+        assert np.array_equal(idx[at], want_at)
+        assert np.array_equal(best[at], cos[at].max(axis=1))
+        assert np.array_equal(idx, cos.argmax(axis=1))
+        # every near-tie row reached the certificate; most rows did not
+        seen = np.concatenate(certified)
+        assert all((seen == row).all(axis=1).any() for row in rows[at])
+        assert len(seen) < len(rows) // 10
+
+    def test_duplicate_centers_pick_the_lowest_index(self):
+        units, rows, _, _ = self.near_tie_case()
+        for c, (lo, hi) in zip((6, 7), self.DUPLICATES):
+            near = rows[:, c] == 0.9
+            assert near.sum() == 2 and (units[lo] == units[hi]).all()
+            idx, best = _nearest(units, self.M, rows[near])
+            assert (idx == lo).all() and (best == 0.9).all()
+
+    def test_random_rows_match_the_float64_search(self):
+        n, m = 64, 2 * _CENTER_CHUNK + 3
+        rng = np.random.default_rng(29)
+        units = rng.standard_normal((m, n))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        rows = rng.standard_normal((20_000, n))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        cos = rows @ units.T
+        idx, best = _nearest(units, m, rows)
+        assert np.array_equal(idx, cos.argmax(axis=1))
+        # one dot product per row sums in another order than the GEMM, so
+        # the cosines agree only to rounding: 4 ulps of 1, the largest cosine
+        assert (np.abs(best - cos.max(axis=1)) <= 4 * np.spacing(1.0)).all()
 
 
 class TestSerialization:

@@ -508,3 +508,29 @@ class TestSeededAssignment:
         assert (~er).sum() > 1000
         digest = hashlib.sha256(ci.tobytes() + er.tobytes()).hexdigest()
         assert digest == self.FINGERPRINTS[mode, family, seed]
+
+
+class TestBatchShapes:
+    """The batch calls refuse rows of the wrong width with a ValueError that
+    names the expected shape, whether or not some row survives amplitude."""
+
+    def test_assign_many_rejects_wrong_width(self, basic8, gain8, code8):
+        for config in (basic8, gain8):
+            for X in (np.ones((5, 7)), np.ones((5, 9)), np.zeros((5, 9)),
+                      np.ones(8), np.ones((2, 5, 8))):
+                with pytest.raises(ValueError, match=r"\(rows, 8\)"):
+                    assign_many(config, code8, X)
+
+    def test_query_many_rejects_wrong_shape(self, basic8, code8):
+        ci = si = np.zeros(3, dtype=np.int64)
+        er = np.zeros(3, dtype=bool)
+        for Y in (np.ones((3, 7)), np.ones((3, 9)), np.ones((2, 8)), np.ones(8)):
+            with pytest.raises(ValueError, match=r"\(3, 8\)"):
+                query_many(basic8, code8, ci, si, er, Y)
+        with pytest.raises(ValueError, match=r"\(3, 8\)"):
+            query_many(basic8, code8, ci, si, np.ones(3, dtype=bool), np.ones((3, 9)))
+
+    def test_empty_batches_pass(self, basic8, code8):
+        ci, si, er = assign_many(basic8, code8, np.empty((0, 8)))
+        assert ci.shape == si.shape == er.shape == (0,)
+        assert query_many(basic8, code8, ci, si, er, np.empty((0, 8))).shape == (0,)

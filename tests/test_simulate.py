@@ -376,6 +376,11 @@ class TestFitExponent:
         fit = fit_exponent([(8, 0.25), (16, 0.125), (32, 0.0)])
         assert len(fit.points) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -0.1])
+    def test_non_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+            fit_exponent([(8, 0.5), (16, bad), (32, 0.125)])
+
 
 class TestChiSquareTailBound:
     def test_formula_values(self):
