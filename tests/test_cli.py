@@ -287,6 +287,18 @@ class TestGoldenOutputs:
         "gaussian_gaussian_r0.65_d0.1_s3,16,0.473116,0.1,gaussian,gaussian,5000,"
         "0.952,0.9457199288603764,0.957586068581292,0,3\n"
     )
+    SIMULATE_SHAPE_GAIN = (
+        '# {"audit_samples": 2000, "command": "simulate", "d": 0.1, '
+        '"dist_x": "laplace", "dist_y": "laplace", "epsilon": 0.1, '
+        '"mode": "shape_gain", "n_list": [8, 16], "rate": 1.5, "seed": 3, '
+        '"sigma_x2": 1.0, "sigma_y2": 1.0, "trials": 5000}\n'
+        "experiment_id,n,rate,d,family_x,family_y,trials,p_hat,ci_low,ci_high,"
+        "false_negatives,seed\n"
+        "laplace_laplace_r1.5_d0.1_s3,8,1.681932,0.1,laplace,laplace,5000,"
+        "0.1682,0.15808779960062763,0.1788216474101123,0,3\n"
+        "laplace_laplace_r1.5_d0.1_s3,16,1.052979,0.1,laplace,laplace,5000,"
+        "0.1446,0.13512439827697628,0.1546212842655704,0,3\n"
+    )
     COVER = (
         "centers: 315\n"
         "rate: 1.037401 bits/symbol\n"
@@ -304,6 +316,14 @@ class TestGoldenOutputs:
                          "--audit-samples", "2000")
         assert rc == 0
         assert out == self.SIMULATE
+
+    def test_simulate_shape_gain(self, capsys):
+        rc, out, _ = run(capsys, "simulate", "--n-list", "8,16", "--rate", "1.5",
+                         "--d", "0.1", "--trials", "5000", "--seed", "3",
+                         "--audit-samples", "2000", "--mode", "shape_gain",
+                         "--dist-x", "laplace", "--dist-y", "laplace")
+        assert rc == 0
+        assert out == self.SIMULATE_SHAPE_GAIN
 
     def test_cover(self, capsys, tmp_path):
         path = tmp_path / "cover.json"

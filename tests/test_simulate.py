@@ -431,6 +431,28 @@ class TestRobustnessExperiment:
         assert out[0][1].p_hat > out[1][1].p_hat
         assert all(est.false_negative_count == 0 for _, est in out)
 
+    def test_matches_cli_rows(self, capsys):
+        # `quadsig simulate` and robustness_experiment, given the same
+        # arguments, report the same estimates bit for bit
+        from quadsig.cli import main
+
+        argv = ["simulate", "--n-list", "8,16", "--rate", "1.5", "--d", "0.1",
+                "--trials", "5000", "--seed", "3", "--audit-samples", "2000",
+                "--mode", "shape_gain", "--dist-x", "laplace", "--dist-y", "laplace"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        lap = SourceSpec("laplace", 1.0)
+        out = robustness_experiment(
+            GaussianPair(1.0, 1.0), 0.1, 1.5, [8, 16], lap, lap, trials=5000,
+            seed=3, epsilon=0.1, mode="shape_gain", audit_samples=2000,
+        )
+        assert [(n, e.p_hat, e.ci_low, e.ci_high, e.false_negative_count)
+                for n, e in out] == [
+            (int(r[1]), float(r[7]), float(r[8]), float(r[9]), int(r[10]))
+            for r in rows
+        ]
+        assert [float(r[7]) for r in rows] == [0.1682, 0.1446]
+
     def test_variance_mismatch_rejected(self):
         pair = GaussianPair(1.0, 1.0)
         with pytest.raises(PreconditionError):
