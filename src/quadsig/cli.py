@@ -25,13 +25,7 @@ from .analysis import (
 from .covering import build_covering, save_covering, verify_covering
 from .errors import DomainError, PreconditionError
 from .scheme import rate_of
-from .simulate import (
-    _FAMILIES,
-    SourceSpec,
-    _schemes,
-    estimate_maybe_probability,
-    fit_exponent,
-)
+from .simulate import _FAMILIES, SourceSpec, _experiments, fit_exponent
 
 USAGE_ERROR = 2
 REFUSAL = 3
@@ -155,17 +149,14 @@ def _cmd_simulate(args) -> int:
     exp_id = f"{args.dist_x}_{args.dist_y}_r{args.rate:g}_d{args.d:g}_s{args.seed}"
     rows = []
     violations = 0
-    schemes = _schemes(
-        pair, args.d, args.rate, n_list, args.epsilon, args.mode,
-        args.audit_samples, args.seed,
+    experiments = _experiments(
+        pair, args.d, args.rate, n_list, spec_x, spec_y, args.trials, args.seed,
+        args.epsilon, args.mode, args.audit_samples,
     )
-    for n, plan, code, trial_seed in schemes:
-        est = estimate_maybe_probability(
-            plan.config, code, spec_x, spec_y, args.trials, trial_seed
-        )
+    for n, config, code, est in experiments:
         violations += est.false_negative_count
         rows.append(
-            f"{exp_id},{n},{rate_of(plan.config, code):.6f},{args.d!r},"
+            f"{exp_id},{n},{rate_of(config, code):.6f},{args.d!r},"
             f"{args.dist_x},{args.dist_y},{args.trials},{est.p_hat!r},"
             f"{est.ci_low!r},{est.ci_high!r},{est.false_negative_count},{args.seed}"
         )

@@ -3,7 +3,8 @@
 Angles are radians throughout.  A "thick cap" is the intersection of a cone
 about an axis with the shell between two radii; it is the geometric footprint
 of one signature cell, and the query test reduces to a point-to-cap distance,
-computed for a whole batch of points by one vectorized function.
+computed for a whole batch of points by one vectorized function.  The exact
+cap fraction is Li's (2011) closed form in the incomplete beta function.
 """
 
 from __future__ import annotations
@@ -129,29 +130,22 @@ def cap_fraction_bounds(theta: float, n: int) -> CapFractionBounds:
 def cap_fraction_exact(theta: float, n: int) -> float:
     """Surface fraction of a spherical cap of half-angle theta in dimension n.
 
-    Computed by adaptive quadrature of the colatitude density sin^(n-2),
-    normalized over [0, pi].  Absolute accuracy target 1e-10.
+    Li's closed form ("Concise formulas for the area and volume of a
+    hyperspherical cap", 2011), I the regularized incomplete beta function:
+    1/2 I_{sin^2 theta}((n - 1)/2, 1/2) up to pi/2, one minus that beyond.
+    Near pi/2 the half-cap term is taken as the equal
+    1/2 (1 - I_{cos^2 theta}(1/2, (n - 1)/2)), free of sin^2 theta's rounding.
     """
     if n < 2:
         raise DomainError("dimension must be at least 2")
     if not 0.0 <= theta <= math.pi:
         raise DomainError("theta must lie in [0, pi]")
-    if theta == 0.0:
-        return 0.0
-    # imported here so that `import quadsig` does not load scipy.integrate,
-    # which would be most of its import time; no other path needs it
-    from scipy.integrate import quad
+    # imported here: scipy would be most of `import quadsig`'s time
+    from scipy.special import betainc, betaincc
 
-    def dens(phi: float) -> float:
-        return math.sin(phi) ** (n - 2)
-
-    # the density concentrates at pi/2 for large n; flag it as a breakpoint
-    pts = [math.pi / 2] if theta > math.pi / 2 else None
-    num, _ = quad(dens, 0.0, theta, points=pts, epsabs=1e-13, epsrel=1e-13, limit=200)
-    den, _ = quad(
-        dens, 0.0, math.pi, points=[math.pi / 2], epsabs=1e-13, epsrel=1e-13, limit=200
-    )
-    return min(1.0, max(0.0, num / den))
+    s2, c2, a = math.sin(theta) ** 2, math.cos(theta) ** 2, (n - 1) / 2.0
+    half = 0.5 * float(betainc(a, 0.5, s2) if s2 <= c2 else betaincc(0.5, a, c2))
+    return half if theta <= math.pi / 2 else 1.0 - half
 
 
 def law_of_cosines_angle(z1: float, z2: float, d: float) -> float:

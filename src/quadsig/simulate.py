@@ -1,5 +1,6 @@
 """Seeded Monte Carlo for maybe-probabilities, similarity probabilities,
-admissibility audits, and empirical exponent fits.
+admissibility audits, and empirical exponent fits.  `quadsig simulate` and
+robustness_experiment run one per-blocklength loop, `_experiments`.
 
 Trials are split into fixed-size shards; shard i draws its generator from
 SeedSequence(seed).spawn(...)[i], and results merge by summation, so estimates
@@ -335,19 +336,23 @@ def chi_square_tail_bound(n: int, sigma2: float) -> float:
     return math.exp(-n * n / 4.0 + (n / 2.0) * math.log(2.0))
 
 
-def _schemes(pair, d, target_rate, n_list, epsilon, mode, audit_samples, seed):
-    """Plan and build the scheme for each blocklength in turn, yielding
-    (n, plan, code, trial_seed).
+def _experiments(
+    pair, d, rate, n_list, spec_x, spec_y, trials, seed, epsilon, mode, audit_samples
+):
+    """Plan, build and estimate the scheme for each blocklength in turn,
+    yielding (n, config, code, estimate).
 
     The k-th covering is seeded with seed + 1000 (k + 1) and its trials with
     seed + k, so a run is reproducible from `seed` alone.
     """
     for k, n in enumerate(n_list):
-        plan = plan_scheme(pair, d, target_rate, n, epsilon, mode=mode)
+        plan = plan_scheme(pair, d, rate, n, epsilon, mode=mode)
         code = build_covering(
             n, pair.sigma_x2, plan.d0, seed + 1000 * (k + 1), audit_samples
         )
-        yield n, plan, code, seed + k
+        yield n, plan.config, code, estimate_maybe_probability(
+            plan.config, code, spec_x, spec_y, trials, seed + k
+        )
 
 
 def robustness_experiment(
@@ -375,9 +380,8 @@ def robustness_experiment(
     if not math.isclose(spec_y.variance, pair.sigma_y2, rel_tol=1e-12):
         raise PreconditionError("spec_y variance must match pair.sigma_y2")
     _check_rate(pair, d, target_rate)
-    return [
-        (n, estimate_maybe_probability(plan.config, code, spec_x, spec_y, trials, s))
-        for n, plan, code, s in _schemes(
-            pair, d, target_rate, n_list, epsilon, mode, audit_samples, seed
-        )
-    ]
+    experiments = _experiments(
+        pair, d, target_rate, n_list, spec_x, spec_y, trials, seed, epsilon, mode,
+        audit_samples,
+    )
+    return [(n, est) for n, _, _, est in experiments]

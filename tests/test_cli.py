@@ -251,13 +251,13 @@ class TestSimulateAndFit:
     def test_false_negative_exit_code(self, capsys, tmp_path, monkeypatch):
         # real schemes cannot produce false negatives, so fake one to check
         # that the CLI escalates it to the dedicated exit status
-        import quadsig.cli as cli
+        import quadsig.simulate as simulate
         from quadsig.simulate import TrialEstimate
 
         def fake_estimate(config, code, sx, sy, trials, seed):
             return TrialEstimate(0.5, trials, 0.4, 0.6, false_negative_count=3)
 
-        monkeypatch.setattr(cli, "estimate_maybe_probability", fake_estimate)
+        monkeypatch.setattr(simulate, "estimate_maybe_probability", fake_estimate)
         rc, _, err = run(capsys, "simulate", "--n-list", "8", "--rate", "0.65",
                          "--d", "0.1", "--trials", "1000", "--seed", "1",
                          "--audit-samples", "500",

@@ -150,6 +150,27 @@ class TestCapFractionExact:
             x = cap_fraction_exact(theta, n)
             assert b.lower < x < b.upper
 
+    @pytest.mark.parametrize("n", [2, 3, 40, 512])
+    def test_matches_40_digit_quadrature(self, n):
+        # mpmath integrates the colatitude density sin^(n-2) piecewise at
+        # pi/2, where it peaks for large n; angles straddle pi/2, including
+        # 1e-6 either side, where sin^2 theta rounds to within 1e-12 of 1
+        import mpmath
+
+        def density(phi):
+            return mpmath.sin(phi) ** (n - 2)
+
+        with mpmath.workdps(40):
+            half_pi = mpmath.pi / 2
+            total = mpmath.quad(density, [0, half_pi, mpmath.pi])
+            for theta in (1e-6, 0.3, 1.0, math.pi / 2 - 1e-6, math.pi / 2,
+                          math.pi / 2 + 1e-6, 2.0, 2.5, 3.0, math.pi - 1e-6):
+                t = mpmath.mpf(theta)
+                cuts = [0, half_pi, t] if t > half_pi else [0, t]
+                want = mpmath.quad(density, cuts) / total
+                got = cap_fraction_exact(theta, n)
+                assert abs(got - want) <= 1e-13, (theta, got, want)
+
     def test_circle_case_is_linear(self):
         # n = 2 density is flat, so the fraction is theta / pi
         assert cap_fraction_exact(0.3, 2) == pytest.approx(0.3 / math.pi, abs=1e-12)

@@ -534,3 +534,46 @@ class TestBatchShapes:
         ci, si, er = assign_many(basic8, code8, np.empty((0, 8)))
         assert ci.shape == si.shape == er.shape == (0,)
         assert query_many(basic8, code8, ci, si, er, np.empty((0, 8))).shape == (0,)
+
+
+class TestQueryIndexValidation:
+    """query_many refuses index arrays it cannot trust: the wrong shape, or a
+    live row naming a center outside [0, code.size)."""
+
+    @pytest.fixture
+    def six(self, basic8, code8):
+        # six center directions at the typical radius: all live, all maybe
+        X = code8._units[:6] * math.sqrt(8.0)
+        ci, si, er = assign_many(basic8, code8, X)
+        assert not er.any()
+        assert query_many(basic8, code8, ci, si, er, X + 0.01).all()
+        return ci, si, er, X + 0.01
+
+    @pytest.mark.parametrize("index", [-1, -6, "size"])
+    def test_out_of_range_center_on_live_rows(self, basic8, code8, six, index):
+        ci, si, er, Y = six
+        index = code8.size if index == "size" else index
+        with pytest.raises(ValueError, match=rf"6 center indices .* the first {index}$"):
+            query_many(basic8, code8, np.full(6, index), si, er, Y)
+
+    def test_out_of_range_center_on_erased_rows_ignored(self, basic8, code8, six):
+        ci, si, er, Y = six
+        er = er.copy()
+        er[2] = True
+        ci = ci.copy()
+        ci[2] = -1
+        assert query_many(basic8, code8, ci, si, er, Y).all()
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("length", [5, 7, (6, 1)])
+    def test_index_shape(self, basic8, code8, six, which, length):
+        arrays = list(six[:2])
+        arrays[which] = np.zeros(length, dtype=np.int64)
+        name = ("centers_idx", "shells_idx")[which]
+        with pytest.raises(ValueError, match=rf"{name} of shape \(6,\)"):
+            query_many(basic8, code8, *arrays, six[2], six[3])
+
+    def test_basic_shell_index_summarized(self, basic8):
+        with pytest.raises(ValueError) as exc:
+            basic8.shell_radii(np.array([0, 1, 0, -2]))
+        assert str(exc.value) == "2 shell indices outside [0, 1), the first 1"
