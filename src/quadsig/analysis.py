@@ -13,7 +13,9 @@ rho_x, rho_y > 0, with z1 = rho_x sigma_x2 and z2 = rho_y sigma_y2, of
 subject to |sqrt(z1) - sqrt(z2)| <= sqrt(d) and z1 + z2 >= d.  `_program`
 evaluates it, and `_minimize` solves it by a grid scan refined by compass
 search: in (rho_x, rho_y) for `id_exponent`, along rho_x = rho_y for
-`id_exponent_symmetric`.
+`id_exponent_symmetric`.  The scan evaluates the program only on cells
+whose chi-square sum, `_bound`, is at most the program at the cell of least
+bound: the angle term is nonnegative, so no other cell can reach the minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _check_count
 
 __all__ = [
     "GaussianPair",
@@ -160,13 +162,19 @@ def _angle_exponents(rate, d, z1, z2):
     return -np.log2(np.sin(ang))
 
 
+def _bound(pair: GaussianPair, d: float, rx, ry):
+    """The program without its angle term, a lower bound since that is >= 0."""
+    z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
+    feasible = (np.abs(np.sqrt(z1) - np.sqrt(z2)) <= math.sqrt(d)) & (z1 + z2 >= d)
+    ez = _chi_square_exponents(rx) + _chi_square_exponents(ry)
+    return np.where(feasible, ez, np.inf)
+
+
 def _program(pair: GaussianPair, d: float, rate: float, rx, ry):
     """The program's objective at positive scale factors rx, ry (scalars or
     broadcasting arrays), inf where (rx, ry) is infeasible."""
     z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
-    feasible = (np.abs(np.sqrt(z1) - np.sqrt(z2)) <= math.sqrt(d)) & (z1 + z2 >= d)
-    ez = _chi_square_exponents(rx) + _chi_square_exponents(ry)
-    return np.where(feasible, ez + _angle_exponents(rate, d, z1, z2), np.inf)
+    return _bound(pair, d, rx, ry) + _angle_exponents(rate, d, z1, z2)
 
 
 def _refine(f, x, step, moves, tol):
@@ -191,17 +199,23 @@ _BOUNDARY_TOL = 1e-7
 
 def _minimize(pair, d, rate, rx, ry, rho_max, step, moves, tol) -> ExponentSolution:
     """Scan the program on the grid of broadcasting arrays rx, ry, then refine
-    its best point within (0, rho_max]^2 by compass search."""
-    obj = _program(pair, d, rate, rx, ry)
-    k = np.unravel_index(int(np.argmin(obj)), obj.shape)
-    if obj[k] == math.inf:
-        raise RuntimeError("empty feasible grid; preconditions should prevent this")
+    its first best cell, in C order, within (0, rho_max]^2 by compass search.
+    The scan skips each cell whose `_bound` exceeds the program at the cell of
+    least bound: the angle term is >= 0 and rounded addition is monotone, so
+    such a cell cannot tie the grid's minimum, and the pick is the full scan's."""
+    bound = _bound(pair, d, rx, ry)
+    grid = [np.broadcast_to(r, bound.shape) for r in (rx, ry)]
+    k = np.unravel_index([np.argmin(bound)], bound.shape)
+    if bound[k][0] == math.inf:
+        raise DomainError(f"no feasible grid cell: rho_max = {rho_max} is too small")
+    cells = bound <= _program(pair, d, rate, *(g[k] for g in grid))[0]
+    obj = _program(pair, d, rate, *(g[cells] for g in grid))
 
     def f(rx, ry):
         inside = 0.0 < rx <= rho_max and 0.0 < ry <= rho_max
         return float(_program(pair, d, rate, rx, ry)) if inside else math.inf
 
-    x0 = tuple(float(np.broadcast_to(r, obj.shape)[k]) for r in (rx, ry))
+    x0 = tuple(float(g[cells][np.argmin(obj)]) for g in grid)
     value, (rx, ry) = _refine(f, x0, step, moves, tol)
     z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
     diff_gap = math.sqrt(d) - abs(math.sqrt(z1) - math.sqrt(z2))
@@ -228,6 +242,9 @@ def id_exponent(
     to 1e-8 steps.  Objective accuracy ~1e-6 or better on smooth instances.
     """
     _check_rate(pair, d, rate)
+    grid = _check_count(grid, "grid")
+    if not (rho_max > 0.0 and math.isfinite(rho_max)):
+        raise ValueError(f"rho_max must be positive and finite, not {rho_max!r}")
     rhos = np.arange(1, grid + 1) * (rho_max / grid)
     axes = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
     return _minimize(

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _check_count
 from .geometry import _check_vector, cap_fraction_bounds
 
 __all__ = [
@@ -274,11 +275,9 @@ def build_covering(
     Stops once `audit_samples` consecutive samples land covered.
     Deterministic given (n, sigma2, d0, seed, audit_samples).
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    n = _check_count(n, "n", 2)
     _check_shell(sigma2, d0)
-    if audit_samples < 1:
-        raise ValueError("audit_samples must be at least 1")
+    audit_samples = _check_count(audit_samples, "audit_samples")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cos_thr = _cos_theta0(sigma2, d0)
@@ -310,8 +309,7 @@ def build_covering(
 
 def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringReport:
     """Empirical coverage check on fresh uniform shell samples."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    samples = _check_count(samples, "samples")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     covered = 0
     for lo in range(0, samples, _BATCH):

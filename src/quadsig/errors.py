@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer-argument check shared across the package."""
+
+import numbers
 
 __all__ = ["DomainError", "PreconditionError", "DegenerateDataError"]
 
@@ -13,3 +15,12 @@ class PreconditionError(ValueError):
 
 class DegenerateDataError(ValueError):
     """Input data carries no usable information (e.g. all-zero probability estimates)."""
+
+
+def _check_count(value, name: str, least: int = 1) -> int:
+    """value as an int, or a ValueError naming `name` unless it is an integer
+    (a bool is not) of at least `least`."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    return int(value)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import quadsig.analysis as analysis
 from quadsig.analysis import (
     GaussianPair,
+    _angle_exponents,
     _chi_square_exponents,
+    _program,
     angle_probability_exponent,
     chi_square_exponent,
     gaussian_test_channel,
@@ -255,6 +258,67 @@ class TestIdExponent:
             id_exponent(GaussianPair(1.0, 0.25), 0.2, 5.0)  # below mismatch floor
         with pytest.raises(DomainError):
             id_exponent(GaussianPair(1.0, 1.0), 2.5, 5.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"grid": 0}, "grid"), ({"grid": -3}, "grid"), ({"grid": 2.5}, "grid"),
+         ({"grid": True}, "grid"), ({"rho_max": -1.0}, "rho_max"),
+         ({"rho_max": math.nan}, "rho_max"), ({"rho_max": math.inf}, "rho_max")],
+    )
+    def test_grid_and_rho_max_checked(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            id_exponent(GaussianPair(1.0, 1.0), 0.5, 1.0, **kwargs)
+
+    def test_grid_without_a_feasible_cell_refused(self):
+        with pytest.raises(DomainError, match="no feasible grid cell"):
+            id_exponent(GaussianPair(1.0, 1.0), 0.5, 1.0, rho_max=0.1)
+
+
+class TestPrunedScan:
+    """`_minimize` evaluates the program only where the chi-square bound can
+    still win; it must start the compass search from the cell an exhaustive
+    scan of `_program` picks, first in C order among ties."""
+
+    @pytest.fixture(autouse=True)
+    def no_refine(self, monkeypatch):
+        # without the compass search a solve returns its grid start
+        monkeypatch.setattr(analysis, "_refine", lambda f, x, *_: (f(*x), x))
+
+    def test_2d_start_is_the_full_grid_argmin(self):
+        rng = np.random.default_rng(1201)
+        for trial in range(100):
+            sx2, sy2 = rng.uniform(0.05, 3.0, 2)
+            if trial % 3 == 0:
+                sy2 = sx2  # a symmetric grid: its minimum ties across the diagonal
+            pair = GaussianPair(float(sx2), float(sy2))
+            lo, hi = (math.sqrt(sx2) - math.sqrt(sy2)) ** 2, sx2 + sy2
+            d = float(rng.uniform(lo, hi))
+            rate = id_rate(pair, d) + float(rng.choice([0.01, 0.1, 0.5, 2.0, 6.0]))
+            grid = int(rng.choice([400, 97, 250]))
+            rho_max = float(rng.choice([4.0, 1.5, 7.0]))
+            rhos = np.arange(1, grid + 1) * (rho_max / grid)
+            rx, ry = rhos[:, None], rhos[None, :]
+            full = _program(pair, d, rate, rx, ry)
+            z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
+            assert (_angle_exponents(rate, d, z1, z2) >= 0.0).all()
+            i, j = np.unravel_index(int(np.argmin(full)), full.shape)
+            sol = id_exponent(pair, d, rate, rho_max, grid)
+            assert (sol.rho_x, sol.rho_y) == (rhos[i], rhos[j])
+
+    def test_1d_start_is_the_full_grid_argmin(self):
+        rng = np.random.default_rng(1202)
+        for _ in range(100):
+            sigma2 = float(rng.uniform(0.05, 3.0))
+            d = float(rng.uniform(0.001, 1.999)) * sigma2
+            pair = GaussianPair(sigma2, sigma2)
+            rate = id_rate(pair, d) + float(rng.choice([0.01, 0.1, 0.5, 2.0, 6.0]))
+            rhos = np.linspace(d / (2.0 * sigma2), 1.0, 4001)
+            full = _program(pair, d, rate, rhos, rhos)
+            z = rhos * sigma2
+            assert (_angle_exponents(rate, d, z, z) >= 0.0).all()
+            k = int(np.argmin(full))
+            sol = id_exponent_symmetric(sigma2, d, rate)
+            assert (sol.rho_x, sol.rho_y) == (rhos[k], rhos[k])
 
 
 # perfbench's EXPONENT_GRID with sigma_x2 = 1 and rate = id_rate + above, and

@@ -104,6 +104,17 @@ class TestBuildCovering:
             with pytest.raises(ValueError, match="'centers' must be finite"):
                 CoveringCode(n=2, sigma2=1.0, d0=0.5, centers=[[bad, 0.0]])
 
+    @pytest.mark.parametrize(
+        "n, audit, field",
+        [(4, math.inf, "audit_samples"), (4, math.nan, "audit_samples"),
+         (4, 200.5, "audit_samples"), (4, True, "audit_samples"),
+         (4, 0, "audit_samples"), (1, 200, "n"), (4.0, 200, "n"), (True, 200, "n")],
+    )
+    def test_counts_must_be_integers(self, n, audit, field):
+        # audit_samples = inf once drew forever and nan built no centers
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build_covering(n, 1.0, 0.5, 1, audit)
+
     def test_rate_within_budget(self, small_code):
         rep = verify_covering(small_code, 10_000, seed=3)
         assert rep.rate <= rep.bound + rep.overhead_budget
@@ -168,6 +179,11 @@ class TestVerifyCovering:
         se = math.sqrt(p * (1 - p) / 200_000)
         assert rep.sampled_coverage == pytest.approx(p, abs=3 * se)
         assert rep.sampled_coverage < 1.0
+
+    @pytest.mark.parametrize("samples", [True, 10.5, math.nan, math.inf, 0])
+    def test_samples_must_be_a_positive_integer(self, small_code, samples):
+        with pytest.raises(ValueError, match="^samples must be an integer"):
+            verify_covering(small_code, samples, 1)
 
     def test_report_fields(self, small_code):
         rep = verify_covering(small_code, 1_000, seed=2)
