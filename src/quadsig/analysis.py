@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, _check_count
+from .errors import DomainError, PreconditionError, _check_count, _check_real
 
 __all__ = [
     "GaussianPair",
@@ -57,10 +57,8 @@ class GaussianPair:
     sigma_y2: float
 
     def __post_init__(self):
-        if not (self.sigma_x2 > 0.0 and math.isfinite(self.sigma_x2)):
-            raise ValueError("sigma_x2 must be positive and finite")
-        if not (self.sigma_y2 > 0.0 and math.isfinite(self.sigma_y2)):
-            raise ValueError("sigma_y2 must be positive and finite")
+        _check_real(self.sigma_x2, "sigma_x2", 0.0)
+        _check_real(self.sigma_y2, "sigma_y2", 0.0)
 
     @property
     def swap(self) -> "GaussianPair":
@@ -87,6 +85,10 @@ class TestChannel:
     gain: float
     noise_var: float
 
+    def __post_init__(self):
+        _check_real(self.gain, "gain")
+        _check_real(self.noise_var, "noise_var", 0.0, ends="[)")
+
 
 def id_rate(pair: GaussianPair, d: float) -> float:
     """Identification rate in bits per symbol; may be math.inf.
@@ -94,10 +96,8 @@ def id_rate(pair: GaussianPair, d: float) -> float:
     0 below the variance-mismatch floor, log2(2 s_x s_y / (s_x^2 + s_y^2 - d))
     in the middle regime, and infinite once similarity becomes typical.
     """
-    if not d >= 0.0:
-        raise ValueError(f"d must be nonnegative, not {d}")
-    sx = math.sqrt(pair.sigma_x2)
-    sy = math.sqrt(pair.sigma_y2)
+    _check_real(d, "d", 0.0, ends="[)")
+    sx, sy = math.sqrt(pair.sigma_x2), math.sqrt(pair.sigma_y2)
     if d < (sx - sy) ** 2:
         return 0.0
     if d >= pair.sigma_x2 + pair.sigma_y2:
@@ -113,16 +113,16 @@ def id_rate_symmetric(sigma2: float, d: float) -> float:
 def _check_rate(pair: GaussianPair, d: float, rate: float) -> None:
     """Refuse d outside ((sigma_x - sigma_y)^2, sigma_x2 + sigma_y2) and a rate
     at or below the identification rate: there the identification exponent
-    and an admissible scheme construction do not exist."""
-    sx = math.sqrt(pair.sigma_x2)
-    sy = math.sqrt(pair.sigma_y2)
-    if not (sx - sy) ** 2 < d < pair.sigma_x2 + pair.sigma_y2:
-        raise DomainError("need (sigma_x - sigma_y)^2 < d < sigma_x2 + sigma_y2")
-    r_id = id_rate(pair, d)
+    and an admissible scheme construction do not exist; and a rate at which
+    2^-rate underflows to 0, where the reach angle arcsin 2^-rate vanishes."""
+    sx, sy = math.sqrt(pair.sigma_x2), math.sqrt(pair.sigma_y2)
+    _check_real(d, "d", (sx - sy) ** 2, pair.sigma_x2 + pair.sigma_y2, error=DomainError)
+    rate, r_id = _check_real(rate, "rate", error=PreconditionError), id_rate(pair, d)
     if not rate > r_id:
         raise PreconditionError(
-            f"rate {rate} must exceed the identification rate {r_id:.6f}"
-        )
+            f"rate {rate} must exceed the identification rate {r_id:.6f}")
+    if 2.0**-rate == 0.0:
+        raise PreconditionError(f"2^-rate underflows to 0 at rate {rate}")
 
 
 def chi_square_exponent(rho: float) -> float:
@@ -130,9 +130,7 @@ def chi_square_exponent(rho: float) -> float:
 
     Nonnegative, convex, zero only at rho = 1.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    return float(_chi_square_exponents(rho))
+    return float(_chi_square_exponents(_check_real(rho, "rho", 0.0)))
 
 
 def _chi_square_exponents(rho):
@@ -143,14 +141,18 @@ def _chi_square_exponents(rho):
 def angle_probability_exponent(rate: float, d: float, z1: float, z2: float) -> float:
     """-log2 sin of the (clamped) reach angle arcsin(2^-rate) + law-of-cosines
     angle for squared radii z1, z2 at threshold d.  Zero when the sum clamps
-    at pi/2.
+    at pi/2.  A rate of inf, or one at which 2^-rate underflows to 0, gives
+    the R -> inf limit, which is inf when the cosine is exactly 1.
     """
-    if z1 <= 0.0 or z2 <= 0.0:
-        raise DomainError("need z1, z2 > 0")
+    if rate != math.inf:
+        _check_real(rate, "rate", 0.0, ends="[)", error=DomainError)
+    _check_real(d, "d", error=DomainError)
+    _check_real(z1, "z1", 0.0, error=DomainError)
+    _check_real(z2, "z2", 0.0, error=DomainError)
     c = (z1 + z2 - d) / (2.0 * math.sqrt(z1 * z2))
-    if not -1.0 <= c <= 1.0:
-        raise DomainError(f"arccos argument {c:.6g} outside [-1, 1]")
-    return float(_angle_exponents(rate, d, z1, z2))
+    _check_real(c, "arccos argument", -1.0, 1.0, "[]", DomainError)
+    with np.errstate(divide="ignore"):  # -log2 sin 0 = inf
+        return float(_angle_exponents(rate, d, z1, z2))
 
 
 def _angle_exponents(rate, d, z1, z2):
@@ -240,12 +242,14 @@ def id_exponent(
     Dense [grid x grid] scan over (0, rho_max]^2 with the difference
     constraint treated as closed, followed by compass search along the axes
     to 1e-8 steps.  Objective accuracy ~1e-6 or better on smooth instances.
+    The rate must be finite: a rate at which 2^-rate underflows to 0 (rate
+    >= 1075, a limit of the double format) is refused, not taken as R -> inf.
     """
     _check_rate(pair, d, rate)
     grid = _check_count(grid, "grid")
-    if not (rho_max > 0.0 and math.isfinite(rho_max)):
-        raise ValueError(f"rho_max must be positive and finite, not {rho_max!r}")
-    rhos = np.arange(1, grid + 1) * (rho_max / grid)
+    rho_max = _check_real(rho_max, "rho_max", 0.0)
+    # the last cell may round past rho_max, where the refiner's objective is inf
+    rhos = np.minimum(np.arange(1, grid + 1) * (rho_max / grid), rho_max)
     axes = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
     return _minimize(
         pair, d, rate, rhos[:, None], rhos[None, :], rho_max, rho_max / grid, axes, 1e-8
@@ -268,9 +272,7 @@ def similarity_exponent(pair: GaussianPair, d: float) -> float:
     """Exponential decay rate, in bits, of the probability that two
     independent draws are d-similar."""
     total = pair.sigma_x2 + pair.sigma_y2
-    if not 0.0 < d <= total:
-        raise DomainError("need 0 < d <= sigma_x2 + sigma_y2")
-    return chi_square_exponent(d / total)
+    return chi_square_exponent(_check_real(d, "d", 0.0, total, "(]", DomainError) / total)
 
 
 def gaussian_test_channel(sigma_x: float, sigma_y: float, d: float) -> TestChannel:
@@ -280,12 +282,9 @@ def gaussian_test_channel(sigma_x: float, sigma_y: float, d: float) -> TestChann
 
     Arguments are standard deviations, not variances.
     """
-    if sigma_x <= 0.0 or sigma_y <= 0.0:
-        raise ValueError("standard deviations must be positive")
-    if d <= (sigma_x - sigma_y) ** 2:
-        raise DomainError("noise variance pole: need d > (sigma_x - sigma_y)^2")
-    if d > sigma_x**2 + sigma_y**2:
-        raise DomainError("need d <= sigma_x^2 + sigma_y^2")
+    _check_real(sigma_x, "sigma_x", 0.0)
+    _check_real(sigma_y, "sigma_y", 0.0)
+    _check_real(d, "d", (sigma_x - sigma_y) ** 2, sigma_x**2 + sigma_y**2, "(]", DomainError)
     gain = ((sigma_x + sigma_y) ** 2 - d) / (2.0 * sigma_x * sigma_y)
     noise_var = (
         ((sigma_x + sigma_y) ** 2 - d)
@@ -301,6 +300,8 @@ def test_channel_moments(
     """Square-root second moments (cross side, own side) of the channel:
     sqrt(E[(sqrt(sx/sy) Y - Xhat)^2]) and sqrt(E[(sqrt(sy/sx) X - Xhat)^2]).
     """
+    _check_real(sigma_x, "sigma_x", 0.0)
+    _check_real(sigma_y, "sigma_y", 0.0)
     rho, sz2 = channel.gain, channel.noise_var
     cross = math.sqrt(sigma_x * sigma_y * (1.0 + rho * rho) + sz2)
     own = math.sqrt(sigma_x * sigma_y * (1.0 - rho) ** 2 + sz2)
@@ -310,9 +311,12 @@ def test_channel_moments(
 def test_channel_rate_bound(
     channel: TestChannel, sigma_x: float, sigma_y: float
 ) -> float:
-    """Mutual-information upper bound (1/2) log2((gain^2 sx sy + sz2) / sz2)."""
+    """Mutual-information upper bound (1/2) log2((gain^2 sx sy + sz2) / sz2);
+    math.inf for a noiseless channel."""
+    _check_real(sigma_x, "sigma_x", 0.0)
+    _check_real(sigma_y, "sigma_y", 0.0)
     rho, sz2 = channel.gain, channel.noise_var
-    if sz2 <= 0.0:
+    if sz2 == 0.0:
         return math.inf
     return 0.5 * math.log2((rho * rho * sigma_x * sigma_y + sz2) / sz2)
 
@@ -323,6 +327,9 @@ def test_channel_constraint_gap(
     """Slack lhs - rhs - sqrt(d - (sigma_x - sigma_y)^2) of the admissibility
     constraint for caller-supplied moment roots; nonnegative means admissible.
     """
-    if d < (sigma_x - sigma_y) ** 2:
-        raise DomainError("need d >= (sigma_x - sigma_y)^2")
+    _check_real(sigma_x, "sigma_x", 0.0)
+    _check_real(sigma_y, "sigma_y", 0.0)
+    _check_real(d, "d", (sigma_x - sigma_y) ** 2, ends="[)", error=DomainError)
+    _check_real(lhs, "lhs")
+    _check_real(rhs, "rhs")
     return lhs - rhs - math.sqrt(d - (sigma_x - sigma_y) ** 2)

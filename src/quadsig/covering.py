@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _check_count
-from .geometry import _check_vector, cap_fraction_bounds
+from .errors import _check_count, _check_real, _check_vector
+from .geometry import cap_fraction_bounds
 
 __all__ = [
     "CoveringCode", "CoveringReport", "build_covering", "verify_covering",
@@ -164,12 +164,8 @@ def _covered(units, m, block, thr) -> np.ndarray:
 
 
 def _check_shell(sigma2: float, d0: float) -> None:
-    """Raise a ValueError unless sigma2 and d0 are finite and 0 < d0 < sigma2."""
-    for name, value in (("sigma2", sigma2), ("d0", d0)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name!r} must be finite, not {value}")
-    if not 0.0 < d0 < sigma2:
-        raise ValueError("need 0 < d0 < sigma2")
+    """Raise a ValueError unless sigma2 and d0 are finite reals, 0 < d0 < sigma2."""
+    _check_real(d0, "d0", 0.0, _check_real(sigma2, "sigma2", 0.0))
 
 
 def _theta0(sigma2: float, d0: float) -> float:
@@ -194,6 +190,7 @@ class CoveringCode:
     _units: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_count(self.n, "n")
         _check_shell(self.sigma2, self.d0)
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != self.n or centers.shape[0] < 1:
@@ -244,14 +241,13 @@ class CoveringReport:
     samples: int
 
     def __post_init__(self):
-        if not 0.0 <= self.sampled_coverage <= 1.0:
-            raise ValueError("sampled_coverage must lie in [0, 1]")
-        if self.rate < 0.0:
-            raise ValueError("rate must be nonnegative")
+        _check_real(self.sampled_coverage, "sampled_coverage", 0.0, 1.0, "[]")
+        _check_real(self.rate, "rate", 0.0, ends="[)")
 
 
 def overhead_budget(n: int) -> float:
     """Engineering slack allowed on top of the half-log rate bound."""
+    n = _check_count(n, "n")
     return (3.0 * math.log2(n) + 10.0) / n
 
 
@@ -261,6 +257,7 @@ def predicted_size_bounds(n: int, sigma2: float, d0: float) -> tuple[float, floa
     The minimum is certified (no covering can use fewer than 1/upper caps);
     the maximum is the reciprocal lower bound, an optimistic ceiling only.
     """
+    _check_shell(sigma2, d0)
     b = cap_fraction_bounds(_theta0(sigma2, d0), n)
     return 1.0 / b.upper, 1.0 / b.lower
 
@@ -277,6 +274,7 @@ def build_covering(
     """
     n = _check_count(n, "n", 2)
     _check_shell(sigma2, d0)
+    seed = _check_count(seed, "seed", 0)
     audit_samples = _check_count(audit_samples, "audit_samples")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -310,6 +308,7 @@ def build_covering(
 def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringReport:
     """Empirical coverage check on fresh uniform shell samples."""
     samples = _check_count(samples, "samples")
+    seed = _check_count(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     covered = 0
     for lo in range(0, samples, _BATCH):
@@ -365,7 +364,7 @@ def _covering_from_payload(payload) -> CoveringCode:
         sigma2=_field(payload, "sigma2"),
         d0=_field(payload, "d0"),
         centers=np.asarray(_field(payload, "centers", (list,)), dtype=float),
-        seed=payload.get("seed"),
+        seed=_field(payload, "seed", (int, type(None))),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_real, _check_vector
 
 __all__ = [
     "CapSpec",
@@ -27,15 +27,6 @@ __all__ = [
     "expansion_cone_angle",
     "min_distance_to_thick_cap",
 ]
-
-
-def _check_vector(x, name: str = "vector") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"{name} must be a 1-D array with at least one coordinate")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} has non-finite coordinates")
-    return x
 
 
 @dataclass(frozen=True)
@@ -57,10 +48,9 @@ class CapSpec:
         if np.linalg.norm(axis) <= 0.0:
             raise ValueError("cap axis must be nonzero")
         object.__setattr__(self, "axis", axis)
-        if not 0.0 <= self.half_angle <= math.pi:
-            raise ValueError("half_angle must lie in [0, pi]")
-        if not 0.0 <= self.inner_radius <= self.outer_radius:
-            raise ValueError("need 0 <= inner_radius <= outer_radius")
+        _check_real(self.half_angle, "half_angle", 0.0, math.pi, "[]")
+        outer = _check_real(self.outer_radius, "outer_radius", 0.0, ends="[)")
+        _check_real(self.inner_radius, "inner_radius", 0.0, outer, "[]")
 
     def contains(self, y) -> bool:
         y = _check_vector(y, "y")
@@ -76,8 +66,8 @@ class CapFractionBounds:
     upper: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper <= 1.0:
-            raise ValueError("need 0 <= lower <= upper <= 1")
+        upper = _check_real(self.upper, "upper", 0.0, 1.0, "[]")
+        _check_real(self.lower, "lower", 0.0, upper, "[]")
 
 
 @dataclass(frozen=True)
@@ -114,13 +104,8 @@ def cap_fraction_bounds(theta: float, n: int) -> CapFractionBounds:
     Valid for 0 < theta < arccos(1/sqrt(n)); outside that range the bounds do
     not hold and a DomainError is raised rather than clamping.
     """
-    if n < 2:
-        raise DomainError("dimension must be at least 2")
-    limit = math.acos(1.0 / math.sqrt(n))
-    if not 0.0 < theta < limit:
-        raise DomainError(
-            f"theta={theta} outside the bound's hypothesis (0, {limit:.6f}) for n={n}"
-        )
+    n = _check_count(n, "n", 2, error=DomainError)
+    _check_real(theta, "theta", 0.0, math.acos(1.0 / math.sqrt(n)), error=DomainError)
     s = math.sin(theta) ** (n - 1) / math.cos(theta)
     upper = s / math.sqrt(2.0 * math.pi * (n - 1))
     lower = s / (3.0 * math.sqrt(2.0 * math.pi * n))
@@ -136,10 +121,8 @@ def cap_fraction_exact(theta: float, n: int) -> float:
     Near pi/2 the half-cap term is taken as the equal
     1/2 (1 - I_{cos^2 theta}(1/2, (n - 1)/2)), free of sin^2 theta's rounding.
     """
-    if n < 2:
-        raise DomainError("dimension must be at least 2")
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError("theta must lie in [0, pi]")
+    n = _check_count(n, "n", 2, error=DomainError)
+    theta = _check_real(theta, "theta", 0.0, math.pi, "[]", DomainError)
     # imported here: scipy would be most of `import quadsig`'s time
     from scipy.special import betainc, betaincc
 
@@ -154,13 +137,11 @@ def law_of_cosines_angle(z1: float, z2: float, d: float) -> float:
 
     Returns arccos((z1 + z2 - d) / (2 sqrt(z1 z2))).
     """
-    if z1 <= 0.0 or z2 <= 0.0 or d < 0.0:
-        raise DomainError("need z1, z2 > 0 and d >= 0")
-    lo = abs(math.sqrt(z1) - math.sqrt(z2))
-    hi = math.sqrt(z1) + math.sqrt(z2)
-    sd = math.sqrt(d)
-    if not lo <= sd <= hi:
-        raise DomainError(f"infeasible triangle: need {lo:.6g} <= sqrt(d) <= {hi:.6g}")
+    _check_real(z1, "z1", 0.0, error=DomainError)
+    _check_real(z2, "z2", 0.0, error=DomainError)
+    _check_real(d, "d", 0.0, ends="[)", error=DomainError)
+    lo, hi = abs(math.sqrt(z1) - math.sqrt(z2)), math.sqrt(z1) + math.sqrt(z2)
+    _check_real(math.sqrt(d), "sqrt(d) of a feasible triangle", lo, hi, "[]", DomainError)
     c = (z1 + z2 - d) / (2.0 * math.sqrt(z1 * z2))
     return math.acos(min(1.0, max(-1.0, c)))
 
@@ -182,14 +163,12 @@ def expansion_cone_angle(
     the query shell within distance sqrt(n*d); the expanded cell then lies in
     the cone of half-angle theta0 + theta1.
     """
-    if eta <= 0.0:
-        raise DomainError("eta must be positive")
-    if not 0.0 < theta0 < math.pi / 2:
-        raise DomainError("theta0 must lie in (0, pi/2)")
+    for name, value in (("d", d), ("sigma_x2", sigma_x2), ("sigma_y2", sigma_y2),
+                        ("eta", eta)):
+        _check_real(value, name, 0.0, error=DomainError)
+    _check_real(theta0, "theta0", 0.0, math.pi / 2, error=DomainError)
     arg = _expansion_cosine(d, sigma_x2, sigma_y2, eta)
-    if not -1.0 <= arg <= 1.0:
-        raise DomainError(f"arccos argument {arg:.6g} outside [-1, 1]")
-    theta1 = math.acos(arg)
+    theta1 = math.acos(_check_real(arg, "arccos argument", -1.0, 1.0, "[]", DomainError))
     theta_prime = theta0 + theta1
     return ExpansionAngle(
         theta1=theta1, theta_prime=theta_prime, acute=theta_prime < math.pi / 2

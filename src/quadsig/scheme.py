@@ -26,8 +26,8 @@ import numpy as np
 from .analysis import GaussianPair, _check_rate
 from .covering import CoveringCode, _covering_from_payload, _covering_payload, _field
 from .covering import _nearest, _theta0
-from .errors import PreconditionError
-from .geometry import CapSpec, _cap_distances, _check_vector, _expansion_cosine
+from .errors import PreconditionError, _check_count, _check_real, _check_vector
+from .geometry import CapSpec, _cap_distances, _expansion_cosine
 from .geometry import expansion_cone_angle
 
 __all__ = [
@@ -58,28 +58,17 @@ class SchemeConfig:
     sigma_max2: float | None = None
 
     def __post_init__(self):
-        for name in ("d", "sigma_x2", "eta", "sigma_max2"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name!r} must be finite, not {value}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.d <= 0.0:
-            raise ValueError("d must be positive")
-        if self.sigma_x2 <= 0.0:
-            raise ValueError("sigma_x2 must be positive")
+        _check_count(self.n, "n")
+        _check_real(self.d, "d", 0.0)
+        sigma_x2 = _check_real(self.sigma_x2, "sigma_x2", 0.0)
         if self.mode not in ("basic", "shape_gain"):
             raise ValueError("mode must be 'basic' or 'shape_gain'")
-        if self.mode == "basic":
-            if not 0.0 < self.eta < self.sigma_x2:
-                raise ValueError("basic mode needs 0 < eta < sigma_x2")
-        else:
-            if self.eta <= 0.0:
-                raise ValueError("shape_gain mode needs eta > 0")
-            if self.sigma_max2 is None:
-                object.__setattr__(self, "sigma_max2", self.n * self.sigma_x2)
-            if self.sigma_max2 <= 0.0:
-                raise ValueError("sigma_max2 must be positive")
+        # basic mode's one shell must keep a positive inner radius
+        _check_real(self.eta, "eta", 0.0, sigma_x2 if self.mode == "basic" else math.inf)
+        if self.mode == "shape_gain" and self.sigma_max2 is None:
+            object.__setattr__(self, "sigma_max2", self.n * self.sigma_x2)
+        if self.sigma_max2 is not None:
+            _check_real(self.sigma_max2, "sigma_max2", 0.0)
 
     @property
     def num_shells(self) -> int:
@@ -112,6 +101,11 @@ class Signature:
 
     center_index: int | None = None
     shell_index: int | None = None
+
+    def __post_init__(self):
+        if self.center_index is not None or self.shell_index is not None:
+            _check_count(self.center_index, "center_index", 0)
+            _check_count(self.shell_index, "shell_index", 0)
 
     @property
     def is_erasure(self) -> bool:
@@ -158,6 +152,7 @@ def cell_cap(config: SchemeConfig, code: CoveringCode, sig: Signature) -> CapSpe
     """Thick cap certified to contain the cell of a non-erasure signature."""
     if sig.is_erasure:
         raise ValueError("the erasure symbol has no cell cap")
+    _check_count(sig.center_index, "center_index", 0, code.size - 1)
     inner, outer = config.shell_radii(sig.shell_index)
     return CapSpec(
         axis=code.centers[sig.center_index],
@@ -170,20 +165,13 @@ def cell_cap(config: SchemeConfig, code: CoveringCode, sig: Signature) -> CapSpe
 def query(config: SchemeConfig, code: CoveringCode, sig: Signature, y) -> Verdict:
     """Exact admissible query: "no" only when every point of the signature's
     cap is farther than sqrt(n*d) from y."""
-    y = np.asarray(y, dtype=float)
+    y = _check_vector(y, "y")
     if y.shape != (config.n,):
         raise ValueError(f"expected a vector of dimension {config.n}")
-    _check_vector(y, "y")
     if sig.is_erasure:
         return Verdict.MAYBE
-    maybe = query_many(
-        config,
-        code,
-        np.array([sig.center_index]),
-        np.array([sig.shell_index]),
-        np.array([False]),
-        y[None, :],
-    )
+    maybe = query_many(config, code, np.array([sig.center_index]),
+                       np.array([sig.shell_index]), np.array([False]), y[None, :])
     return Verdict.MAYBE if maybe[0] else Verdict.NO
 
 
@@ -302,8 +290,7 @@ def plan_scheme(
     midpoint of ((1 - epsilon) sigma_x2 b^2, sigma_x2 b^2) for that bracket b.
     The resulting cone angle theta0 + theta1 is provably below pi/2.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_real(epsilon, "epsilon", 0.0, 1.0)
     _check_rate(pair, d, target_rate)
 
     def bracket(eta: float) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .analysis import GaussianPair, _check_rate
 from .covering import _BATCH, CoveringCode, build_covering
-from .errors import DegenerateDataError, PreconditionError
+from .errors import DegenerateDataError, PreconditionError, _check_count, _check_real
 from .scheme import SchemeConfig, assign_many, plan_scheme, query_many
 
 __all__ = [
@@ -57,8 +57,7 @@ class SourceSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}")
-        if not 0.0 < self.variance < math.inf:
-            raise ValueError(f"variance must be positive and finite: {self.variance}")
+        _check_real(self.variance, "variance", 0.0)
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.family == "gaussian":
@@ -78,8 +77,7 @@ class TrialEstimate:
     false_negative_count: int
 
     def __post_init__(self):
-        if not self.ci_low <= self.p_hat <= self.ci_high:
-            raise ValueError("interval must bracket the estimate")
+        _check_real(self.p_hat, "p_hat", self.ci_low, self.ci_high, "[]")
 
 
 @dataclass(frozen=True)
@@ -133,6 +131,7 @@ def sample_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One independent (x, y) pair with i.i.d. coordinates; the generator is
     the seed stream, so identical generator states give identical pairs."""
+    n = _check_count(n, "n")
     x = spec_x.draw(rng, n)
     y = spec_y.draw(rng, n)
     return x, y
@@ -188,8 +187,8 @@ if hasattr(os, "register_at_fork"):
 def _run_sharded(trials: int, seed: int, worker):
     """worker(rng, count) -> tuple of summable ints; returns elementwise sums."""
     global _pool
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _check_count(trials, "trials")
+    seed = _check_count(seed, "seed", 0)
     num_shards = (trials + SHARD_SIZE - 1) // SHARD_SIZE
     children = np.random.SeedSequence(seed).spawn(num_shards)
     sizes = [min(SHARD_SIZE, trials - i * SHARD_SIZE) for i in range(num_shards)]
@@ -251,10 +250,8 @@ def estimate_similarity_probability(
     seed: int,
 ) -> TrialEstimate:
     """Monte Carlo estimate of Pr{d(X, Y) <= d} for independent sources."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not d >= 0.0:
-        raise ValueError(f"d must be nonnegative, not {d}")
+    n = _check_count(n, "n")
+    _check_real(d, "d", 0.0, ends="[)")
 
     def worker(rng: np.random.Generator, count: int):
         diff = spec_x.draw(rng, (count, n)) - spec_y.draw(rng, (count, n))
@@ -281,6 +278,7 @@ def audit_admissibility(
     dissimilar (the +1e-9 side) are queried but exempt from the must-maybe
     check.  p_hat is the maybe fraction over all queried pairs.
     """
+    _check_real(boundary_fraction, "boundary_fraction", 0.0, 1.0, "[]")
 
     def worker(rng: np.random.Generator, count: int):
         X = spec_x.draw(rng, (count, config.n))
@@ -304,16 +302,16 @@ def audit_admissibility(
 def fit_exponent(points: list[tuple[int, float]]) -> ExponentFit:
     """Least-squares slope of -log2 p_hat against n over points with p_hat > 0.
 
-    Raises a ValueError if some p_hat is not a probability in [0, 1]
-    (NaN and infinities included).
+    Raises a ValueError if some n is not a positive integer or some p_hat is
+    not a probability in [0, 1] (NaN and infinities included).
     """
     for n, p in points:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p_hat at n = {n} must lie in [0, 1], not {p}")
+        _check_count(n, "n")
+        _check_real(p, f"p_hat at n = {n}", 0.0, 1.0, "[]")
     usable = [(n, p) for n, p in points if p > 0.0]
-    if len(usable) < 2:
+    if len({n for n, _ in usable}) < 2:
         raise DegenerateDataError(
-            "need at least two points with p_hat > 0; estimates at or below the "
+            "need two blocklengths with p_hat > 0; estimates at or below the "
             "Monte Carlo resolution floor carry no slope information"
         )
     ns = np.array([n for n, _ in usable], dtype=float)
@@ -329,10 +327,8 @@ def chi_square_tail_bound(n: int, sigma2: float) -> float:
     cancels.  Decays super-exponentially in n; evaluated as one exp, so it
     underflows to 0 where 2^(n/2) alone would overflow.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    n = _check_count(n, "n")
+    _check_real(sigma2, "sigma2", 0.0)
     return math.exp(-n * n / 4.0 + (n / 2.0) * math.log(2.0))
 
 
@@ -380,6 +376,7 @@ def robustness_experiment(
     if not math.isclose(spec_y.variance, pair.sigma_y2, rel_tol=1e-12):
         raise PreconditionError("spec_y variance must match pair.sigma_y2")
     _check_rate(pair, d, target_rate)
+    _check_count(seed, "seed", 0)
     experiments = _experiments(
         pair, d, target_rate, n_list, spec_x, spec_y, trials, seed, epsilon, mode,
         audit_samples,

@@ -84,7 +84,7 @@ class TestIdRate:
             id_rate(GaussianPair(1.0, 1.0), -0.1)
 
     def test_nan_d_rejected(self):
-        with pytest.raises(ValueError, match="d must be nonnegative"):
+        with pytest.raises(ValueError, match="^d must be a finite real number"):
             id_rate(GaussianPair(1.0, 1.0), math.nan)
 
 
@@ -268,6 +268,12 @@ class TestIdExponent:
     def test_grid_and_rho_max_checked(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             id_exponent(GaussianPair(1.0, 1.0), 0.5, 1.0, **kwargs)
+
+    def test_last_grid_cell_rounding_past_rho_max(self):
+        # 25 * (0.4375 / 25) rounds above 0.4375; a solve that started there
+        # was stuck outside the refiner's box and returned inf
+        sol = id_exponent(GaussianPair(1.0, 1.0), 0.1, 8.0, rho_max=0.4375, grid=25)
+        assert math.isfinite(sol.value) and sol.rho_x <= 0.4375
 
     def test_grid_without_a_feasible_cell_refused(self):
         with pytest.raises(DomainError, match="no feasible grid cell"):

@@ -43,7 +43,7 @@ class TestRate:
                            "--d", "nan")
         assert rc == 2
         assert out == ""
-        assert err.startswith("error: d must be nonnegative")
+        assert err.startswith("error: d must be a finite real number")
 
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "rate.csv"

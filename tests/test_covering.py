@@ -94,9 +94,9 @@ class TestBuildCovering:
          (1.0, math.nan, "d0"), (1.0, -math.inf, "d0")],
     )
     def test_non_finite_shell_rejected(self, sigma2, d0, field):
-        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
             build_covering(8, sigma2, d0, 1, 200)
-        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
             CoveringCode(n=2, sigma2=sigma2, d0=d0, centers=[[math.inf, 0.0]])
 
     def test_non_finite_centers_rejected(self):
@@ -521,6 +521,7 @@ class TestSerialization:
             (lambda p: [p], "'n' in a JSON list"),
             (lambda p: {**p, "n": "2"}, "'n' must be int"),
             (lambda p: {**p, "n": 2.9}, "'n' must be int"),
+            (lambda p: {**p, "seed": ["x"]}, "'seed' must be int or NoneType"),
         ],
     )
     def test_invalid_payload_rejected(self, circle_code, tmp_path, edit, message):
@@ -536,7 +537,7 @@ class TestSerialization:
         payload = {"n": 2, "sigma2": math.inf, "d0": 0.5, "seed": None,
                    "centers": [[math.inf, 0.0]]}
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="'sigma2' must be finite"):
+        with pytest.raises(ValueError, match="^sigma2 must be a finite real number"):
             load_covering(path)
 
 

@@ -8,7 +8,7 @@ import pytest
 from oracles import grid_min_distance
 import quadsig.scheme as scheme_module
 from quadsig.analysis import GaussianPair, id_rate
-from quadsig.covering import _BATCH, _nearest, build_covering
+from quadsig.covering import _BATCH, CoveringCode, _nearest, build_covering
 from quadsig.errors import DomainError, PreconditionError
 from quadsig.geometry import min_distance_to_thick_cap
 from quadsig.scheme import (
@@ -74,7 +74,7 @@ class TestSchemeConfig:
     def test_non_finite_field_rejected(self, name, value):
         # a non-finite eta or sigma_max2 makes num_shells zero or uncomputable
         good = dict(n=8, d=0.4, sigma_x2=1.0, eta=0.1, mode="shape_gain")
-        with pytest.raises(ValueError, match=f"^'{name}' must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
             SchemeConfig(**{**good, name: value})
 
     def test_out_of_range_shell_indices_summarized(self, gain8):
@@ -419,7 +419,7 @@ class TestSerialization:
             edited = tmp_path / f"edited_{key}.json"
             edited.write_text(json.dumps(payload))
             assert f'"{key}": {json.dumps(value)}' in edited.read_text()
-            with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+            with pytest.raises(ValueError, match=f"^{key} must be a finite real number"):
                 load_scheme(edited)
 
 
@@ -577,3 +577,55 @@ class TestQueryIndexValidation:
         with pytest.raises(ValueError) as exc:
             basic8.shell_radii(np.array([0, 1, 0, -2]))
         assert str(exc.value) == "2 shell indices outside [0, 1), the first 1"
+
+    @pytest.mark.parametrize("index", [-1, "size"])
+    def test_cell_cap_refuses_out_of_range_center(self, basic8, code8, index):
+        # -1 once wrapped to the last center's cap, and code.size raised an
+        # IndexError
+        index = code8.size if index == "size" else index
+        with pytest.raises(ValueError, match="^center_index must be an integer"):
+            cell_cap(basic8, code8, Signature(index, 0))
+
+
+def _knife_edge_pairs(n, pairs, rng):
+    """ROADMAP item 1's knife-edge construction for a one-center code (sigma2
+    = 1, d0 = 0.5, center on e1): x just inside the cap's edge and just inside
+    one face of the basic shell (d = 0.02, eta = 0.2), and y at distance
+    sqrt(n d)(1 + U(-4e-16, 4e-16)) from x, pointing out of the cell."""
+    config = SchemeConfig(n=n, d=0.02, sigma_x2=1.0, eta=0.2)
+    center = np.zeros(n)
+    center[0] = math.sqrt(n * 0.5)
+    code = CoveringCode(n=n, sigma2=1.0, d0=0.5, centers=center[None, :])
+    # a random plane through e1: e1 and a unit v orthogonal to it
+    v = rng.standard_normal((pairs, n))
+    v[:, 0] = 0.0
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    e1 = np.eye(n)[0]
+    angle = code.theta0 * (1.0 - rng.uniform(0.0, 1e-13, pairs))
+    unit = np.cos(angle)[:, None] * e1 + np.sin(angle)[:, None] * v
+    outward = -np.sin(angle)[:, None] * e1 + np.cos(angle)[:, None] * v
+    inner, outer = config.shell_radii(0)
+    on_outer = rng.random(pairs) < 0.5
+    radius = np.where(on_outer, outer * (1.0 - 1e-15), inner * (1.0 + 1e-15))
+    X = radius[:, None] * unit
+    w = rng.uniform(0.05, 0.95, pairs)[:, None]
+    U = w * np.where(on_outer, 1.0, -1.0)[:, None] * unit + (1.0 - w) * outward
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    step = math.sqrt(n * config.d) * (1.0 + rng.uniform(-4e-16, 4e-16, pairs))
+    return config, code, X, X + step[:, None] * U
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the cap-distance query has no outward margin for "
+    "its own rounding, so float-similar pairs on a cell's edge can get 'no'",
+)
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_knife_edge_pairs_get_no_false_negative(n):
+    config, code, X, Y = _knife_edge_pairs(n, 20_000, np.random.default_rng(n))
+    ci, si, er = assign_many(config, code, X)
+    assert er.mean() < 0.01  # the few x that round out of the cell answer maybe
+    no = ~query_many(config, code, ci, si, er, Y)
+    diff = X - Y
+    similar = np.einsum("ij,ij->i", diff, diff) / n <= config.d
+    assert np.count_nonzero(no & similar) == 0

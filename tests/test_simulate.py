@@ -77,7 +77,7 @@ class TestSources:
 
     @pytest.mark.parametrize("variance", [math.nan, math.inf, 0.0])
     def test_bad_variance_rejected(self, variance):
-        with pytest.raises(ValueError, match="variance must be positive and finite"):
+        with pytest.raises(ValueError, match="^variance must be a finite real number"):
             SourceSpec("gaussian", variance)
 
 
@@ -92,9 +92,9 @@ class TestSimilarityProbability:
 
     def test_degenerate_inputs_rejected(self):
         g = SourceSpec("gaussian", 1.0)
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match="^n must be an integer"):
             estimate_similarity_probability(g, g, 1.5, 0, 1_000, 3)
-        with pytest.raises(ValueError, match="d must be nonnegative"):
+        with pytest.raises(ValueError, match="^d must be a finite real number"):
             estimate_similarity_probability(g, g, math.nan, 16, 1_000, 3)
 
     def test_matches_chi_square_reference(self):
@@ -378,7 +378,7 @@ class TestFitExponent:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -0.1])
     def test_non_probability_rejected(self, bad):
-        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+        with pytest.raises(ValueError, match="must be a finite real number in \\[0.0, 1.0\\]"):
             fit_exponent([(8, 0.5), (16, bad), (32, 0.125)])
 
 
