@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -383,6 +384,128 @@ class TestPinnedSolutions:
         sol = id_exponent_symmetric(sigma2, d, rate)
         assert sol.value == pytest.approx(value, abs=1e-12)
         assert sol.on_sum_boundary == tot
+
+
+def _random_2d(count, seed):
+    """Seeded id_exponent arguments (pair, d, rate, rho_max, grid); every
+    third pair has equal variances, whose grid minimum ties across the
+    diagonal."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(count):
+        sx2, sy2 = (float(v) for v in rng.uniform(0.05, 3.0, 2))
+        if trial % 3 == 0:
+            sy2 = sx2
+        pair = GaussianPair(sx2, sy2)
+        lo, hi = (math.sqrt(sx2) - math.sqrt(sy2)) ** 2, sx2 + sy2
+        d = float(rng.uniform(lo, hi))
+        rate = id_rate(pair, d) + float(rng.choice([0.01, 0.1, 0.5, 2.0, 6.0]))
+        rho_max = float(rng.choice([4.0, 1.5, 7.0]))
+        out.append((pair, d, rate, rho_max, int(rng.choice([400, 97, 250]))))
+    return out
+
+
+def _random_1d(count, seed):
+    """Seeded id_exponent_symmetric arguments (sigma2, d, rate)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        sigma2 = float(rng.uniform(0.05, 3.0))
+        d = float(rng.uniform(0.001, 1.999)) * sigma2
+        rate = id_rate_symmetric(sigma2, d) + float(rng.choice([0.01, 0.1, 0.5, 2.0, 6.0]))
+        out.append((sigma2, d, rate))
+    return out
+
+
+def _perfbench_2d():
+    """id_exponent arguments (pair, d, rate, rho_max, grid) at the PINNED_2D points."""
+    pairs = [(GaussianPair(1.0, sy2), d, above) for sy2, d, above, *_ in PINNED_2D]
+    return [(pair, d, id_rate(pair, d) + above, 4.0, 400) for pair, d, above in pairs]
+
+
+class TestSolutionBits:
+    """Every bit of both solvers' solutions, and the refiner's objective at
+    every point its compass search visits, on the perfbench points, the
+    pinned symmetric set and 200 seeded instances of each solver.
+
+    The refiner's objective must equal the array program `_program` at each
+    visited point inside its box (0, rho_max]^2, and be inf outside it, bit
+    for bit: then its compass path, and so every solution bit, is the one the
+    array program would take."""
+
+    FINGERPRINTS = {
+        "perfbench":
+            "3dc2bc608c866454b2a3b96701db715dcb9de3bf87a90b95fb67111170178dca",
+        "pinned_1d":
+            "c332f0a5d1cf7cbdc292dc801130e4a86486c569505df24e844f796ac0b20ce8",
+        "random_2d":
+            "87049bca48e3c2da13a022596d4096c511bfd7960ddfc337d560626df3481429",
+        "random_1d":
+            "fb0d34ab51349949f772eaa579f3b2d60ad9a9fd25c024ac33ceba85eb6018a4",
+    }
+
+    @pytest.fixture(scope="class")
+    def solves(self):
+        """{set: [(solution, problem, rho_max, [(point, value), ...]), ...]}"""
+        visits = []
+        refine = analysis._refine
+
+        def recording(f, *rest):
+            def g(rx, ry):
+                v = f(rx, ry)
+                visits.append(((rx, ry), v))
+                return v
+            return refine(g, *rest)
+
+        sets = {
+            "perfbench": [(id_exponent, p) for p in _perfbench_2d()],
+            "pinned_1d": [(id_exponent_symmetric, p[:3]) for p in PINNED_1D],
+            "random_2d": [(id_exponent, p) for p in _random_2d(200, 1701)],
+            "random_1d": [(id_exponent_symmetric, p) for p in _random_1d(200, 1702)],
+        }
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_refine", recording)
+            for name, problems in sets.items():
+                out[name] = []
+                for solve, args in problems:
+                    visits.clear()
+                    sol = solve(*args)
+                    if solve is id_exponent:
+                        pair, d, rate, rho_max = args[:4]
+                    else:
+                        pair, d, rate, rho_max = GaussianPair(args[0], args[0]), *args[1:], 1.0
+                    out[name].append((sol, (pair, d, rate), rho_max, list(visits)))
+        return out
+
+    @pytest.mark.parametrize("name", list(FINGERPRINTS))
+    def test_fingerprint(self, solves, name):
+        bits = "\n".join(
+            f"{s.value.hex()} {s.rho_x.hex()} {s.rho_y.hex()} "
+            f"{s.on_difference_boundary:d} {s.on_sum_boundary:d}"
+            for s, *_ in solves[name]
+        )
+        assert hashlib.sha256(bits.encode()).hexdigest() == self.FINGERPRINTS[name]
+
+    @pytest.mark.parametrize("name", list(FINGERPRINTS))
+    def test_objective_is_the_array_program(self, solves, name):
+        infinite = 0
+        for _, (pair, d, rate), rho_max, visits in solves[name]:
+            assert len(visits) >= 20
+            for (rx, ry), got in visits:
+                inside = 0.0 < rx <= rho_max and 0.0 < ry <= rho_max
+                want = float(_program(pair, d, rate, rx, ry)) if inside else math.inf
+                assert got.hex() == want.hex(), (pair, d, rate, rx, ry)
+                infinite += got == math.inf
+        # the 2-D searches step off the feasible set, so inf is checked too;
+        # the 1-D ones stay on it
+        assert (infinite > 0) == (name in ("perfbench", "random_2d"))
+
+    def test_tail_point_evaluation_count(self, solves):
+        # perfbench's slowest point, (0.01, 0.8101, 0.01): its compass path
+        tail = solves["perfbench"][6]
+        assert tail[1][0].sigma_y2 == 0.01
+        assert len(tail[3]) == 3297
 
 
 class TestSimilarityExponent:
