@@ -10,12 +10,22 @@ rho_x, rho_y > 0, with z1 = rho_x sigma_x2 and z2 = rho_y sigma_y2, of
     E_Z(rho_x) + E_Z(rho_y) - log2 sin min(pi/2, arcsin 2^-R + arccos c),
     c = (z1 + z2 - d) / (2 sqrt(z1 z2)),
 
-subject to |sqrt(z1) - sqrt(z2)| <= sqrt(d) and z1 + z2 >= d.  `_program`
-evaluates it, and `_minimize` solves it by a grid scan refined by compass
-search: in (rho_x, rho_y) for `id_exponent`, along rho_x = rho_y for
-`id_exponent_symmetric`.  The scan evaluates the program only on cells
-whose chi-square sum, `_bound`, is at most the program at the cell of least
-bound: the angle term is nonnegative, so no other cell can reach the minimum.
+subject to |sqrt(z1) - sqrt(z2)| <= sqrt(d) and z1 + z2 >= d.  `_minimize`
+solves it by a grid scan refined by compass search: in (rho_x, rho_y) for
+`id_exponent`, along rho_x = rho_y for `id_exponent_symmetric`.  The scan
+evaluates `_program` over arrays, and only on cells whose chi-square sum,
+`_bound`, is at most the program at the cell of least bound: the angle term
+is nonnegative, so no other cell can reach the minimum.
+
+The compass search evaluates the program one point at a time, thousands of
+times on a hard instance, with `_program_at`.  numpy spends 10-15 us on
+such a point, most of it in per-call overhead on 0-d inputs, so
+`_program_at` does the correctly rounded steps (products, sums, quotients,
+sqrt, abs, min, max and the feasibility tests) on Python floats, where they
+give the same bits.  log, arccos, sin and log2 stay numpy's: its float64
+results differ from `math`'s on some arguments.  Each value then equals the
+array program's bit for bit, so the compass path and every solution bit are
+those of the array program, at about a third of the cost.
 """
 
 from __future__ import annotations
@@ -149,19 +159,25 @@ def angle_probability_exponent(rate: float, d: float, z1: float, z2: float) -> f
     _check_real(d, "d", error=DomainError)
     _check_real(z1, "z1", 0.0, error=DomainError)
     _check_real(z2, "z2", 0.0, error=DomainError)
-    c = (z1 + z2 - d) / (2.0 * math.sqrt(z1 * z2))
-    _check_real(c, "arccos argument", -1.0, 1.0, "[]", DomainError)
+    # sqrt(z1) sqrt(z2), not sqrt(z1 z2): the product of tiny radii underflows
+    c = (z1 + z2 - d) / (2.0 * math.sqrt(z1) * math.sqrt(z2))
+    c = _check_real(c, "arccos argument", -1.0, 1.0, "[]", DomainError)
     with np.errstate(divide="ignore"):  # -log2 sin 0 = inf
-        return float(_angle_exponents(rate, d, z1, z2))
+        return float(_angle_term(math.asin(2.0 ** (-rate)), c, min))
+
+
+def _angle_term(reach, c, minimum=np.minimum):
+    """-log2 sin min(pi/2, reach + arccos c): the angle term at the reach
+    angle arcsin 2^-rate and a cosine c in [-1, 1], over arrays, or over
+    floats with minimum=min (no validation)."""
+    return -np.log2(np.sin(minimum(math.pi / 2, reach + np.arccos(c))))
 
 
 def _angle_exponents(rate, d, z1, z2):
     """angle_probability_exponent over positive scalars or arrays z1, z2,
     with the arccos argument clamped to [-1, 1] (no validation)."""
     c = (z1 + z2 - d) / (2.0 * np.sqrt(z1 * z2))
-    c = np.maximum(np.minimum(c, 1.0), -1.0)
-    ang = np.minimum(math.pi / 2, math.asin(2.0 ** (-rate)) + np.arccos(c))
-    return -np.log2(np.sin(ang))
+    return _angle_term(math.asin(2.0 ** (-rate)), np.maximum(np.minimum(c, 1.0), -1.0))
 
 
 def _bound(pair: GaussianPair, d: float, rx, ry):
@@ -173,10 +189,32 @@ def _bound(pair: GaussianPair, d: float, rx, ry):
 
 
 def _program(pair: GaussianPair, d: float, rate: float, rx, ry):
-    """The program's objective at positive scale factors rx, ry (scalars or
-    broadcasting arrays), inf where (rx, ry) is infeasible."""
+    """The program's objective at positive scale factors rx, ry, inf where
+    (rx, ry) is infeasible.  It serves the scan's broadcasting arrays; the
+    refiner evaluates one point at a time with `_program_at`, which
+    reproduces it bit for bit."""
     z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
     return _bound(pair, d, rx, ry) + _angle_exponents(rate, d, z1, z2)
+
+
+def _program_at(pair: GaussianPair, d: float, rate: float):
+    """The program as a function of one point (rx, ry) of positive floats,
+    equal bit for bit to float(_program(pair, d, rate, rx, ry)): the same
+    operations in the same order, the correctly rounded ones on floats."""
+    sx2, sy2, root_d = pair.sigma_x2, pair.sigma_y2, math.sqrt(d)
+    reach = math.asin(2.0 ** (-rate))
+
+    def program(rx, ry):
+        z1, z2 = rx * sx2, ry * sy2
+        if not 0.0 < z1 * z2 < math.inf:  # under- or overflow: numpy's inf and nan rules
+            return float(_program(pair, d, rate, rx, ry))
+        if abs(math.sqrt(z1) - math.sqrt(z2)) > root_d or z1 + z2 < d:
+            return math.inf
+        c = (z1 + z2 - d) / (2.0 * math.sqrt(z1 * z2))
+        ez = _chi_square_exponents(rx) + _chi_square_exponents(ry)
+        return float(ez + _angle_term(reach, max(min(c, 1.0), -1.0), min))
+
+    return program
 
 
 def _refine(f, x, step, moves, tol):
@@ -213,9 +251,11 @@ def _minimize(pair, d, rate, rx, ry, rho_max, step, moves, tol) -> ExponentSolut
     cells = bound <= _program(pair, d, rate, *(g[k] for g in grid))[0]
     obj = _program(pair, d, rate, *(g[cells] for g in grid))
 
+    program = _program_at(pair, d, rate)
+
     def f(rx, ry):
         inside = 0.0 < rx <= rho_max and 0.0 < ry <= rho_max
-        return float(_program(pair, d, rate, rx, ry)) if inside else math.inf
+        return program(rx, ry) if inside else math.inf
 
     x0 = tuple(float(g[cells][np.argmin(obj)]) for g in grid)
     value, (rx, ry) = _refine(f, x0, step, moves, tol)

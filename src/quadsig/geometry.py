@@ -135,14 +135,15 @@ def law_of_cosines_angle(z1: float, z2: float, d: float) -> float:
     """Angle at the origin of a triangle with squared side lengths z1, z2 and
     opposite squared side d (all normalized per dimension).
 
-    Returns arccos((z1 + z2 - d) / (2 sqrt(z1 z2))).
+    Returns arccos((z1 + z2 - d) / (2 sqrt(z1) sqrt(z2))).
     """
     _check_real(z1, "z1", 0.0, error=DomainError)
     _check_real(z2, "z2", 0.0, error=DomainError)
     _check_real(d, "d", 0.0, ends="[)", error=DomainError)
     lo, hi = abs(math.sqrt(z1) - math.sqrt(z2)), math.sqrt(z1) + math.sqrt(z2)
     _check_real(math.sqrt(d), "sqrt(d) of a feasible triangle", lo, hi, "[]", DomainError)
-    c = (z1 + z2 - d) / (2.0 * math.sqrt(z1 * z2))
+    # sqrt(z1) sqrt(z2), not sqrt(z1 z2): the product of tiny radii underflows
+    c = (z1 + z2 - d) / (2.0 * math.sqrt(z1) * math.sqrt(z2))
     return math.acos(min(1.0, max(-1.0, c)))
 
 

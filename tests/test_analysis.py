@@ -145,6 +145,15 @@ class TestAngleProbabilityExponent:
         with pytest.raises(DomainError):
             angle_probability_exponent(3.0, 10.0, 1.0, 1.0)
 
+    def test_scale_invariant_down_to_tiny_radii(self):
+        # z1 z2 = 1e-400 underflows to 0; sqrt(z1) sqrt(z2) does not.  At
+        # rate 1 the angle clamps at pi/2, at rate 3 it does not.
+        assert angle_probability_exponent(3.0, 1.0, 1.0, 1.0) > 0.0
+        for rate in (1.0, 3.0):
+            want = angle_probability_exponent(rate, 1.0, 1.0, 1.0)
+            for scale in (1e-200, 1e-300, 5e-324):
+                assert angle_probability_exponent(rate, scale, scale, scale) == want
+
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -417,6 +426,11 @@ def _random_1d(count, seed):
     return out
 
 
+# equal variances at which z1 z2 underflows to 0 or overflows to inf on the
+# whole grid, so the refiner's objective takes numpy's rounding at every point
+EXTREME_VARIANCES = (1e-200, 1e300)
+
+
 def _perfbench_2d():
     """id_exponent arguments (pair, d, rate, rho_max, grid) at the PINNED_2D points."""
     pairs = [(GaussianPair(1.0, sy2), d, above) for sy2, d, above, *_ in PINNED_2D]
@@ -462,9 +476,12 @@ class TestSolutionBits:
             "pinned_1d": [(id_exponent_symmetric, p[:3]) for p in PINNED_1D],
             "random_2d": [(id_exponent, p) for p in _random_2d(200, 1701)],
             "random_1d": [(id_exponent_symmetric, p) for p in _random_1d(200, 1702)],
+            "extreme": [(id_exponent, (GaussianPair(v, v), v, id_rate_symmetric(v, v) + 1.0))
+                        for v in EXTREME_VARIANCES],
         }
         out = {}
-        with pytest.MonkeyPatch.context() as mp:
+        # numpy warns where the extreme variances' products under- or overflow
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
             mp.setattr(analysis, "_refine", recording)
             for name, problems in sets.items():
                 out[name] = []
@@ -472,7 +489,7 @@ class TestSolutionBits:
                     visits.clear()
                     sol = solve(*args)
                     if solve is id_exponent:
-                        pair, d, rate, rho_max = args[:4]
+                        pair, d, rate, rho_max = (*args, 4.0)[:4]
                     else:
                         pair, d, rate, rho_max = GaussianPair(args[0], args[0]), *args[1:], 1.0
                     out[name].append((sol, (pair, d, rate), rho_max, list(visits)))
@@ -487,19 +504,20 @@ class TestSolutionBits:
         )
         assert hashlib.sha256(bits.encode()).hexdigest() == self.FINGERPRINTS[name]
 
-    @pytest.mark.parametrize("name", list(FINGERPRINTS))
+    @pytest.mark.parametrize("name", [*FINGERPRINTS, "extreme"])
     def test_objective_is_the_array_program(self, solves, name):
         infinite = 0
         for _, (pair, d, rate), rho_max, visits in solves[name]:
             assert len(visits) >= 20
             for (rx, ry), got in visits:
                 inside = 0.0 < rx <= rho_max and 0.0 < ry <= rho_max
-                want = float(_program(pair, d, rate, rx, ry)) if inside else math.inf
+                with np.errstate(all="ignore"):
+                    want = float(_program(pair, d, rate, rx, ry)) if inside else math.inf
                 assert got.hex() == want.hex(), (pair, d, rate, rx, ry)
                 infinite += got == math.inf
-        # the 2-D searches step off the feasible set, so inf is checked too;
-        # the 1-D ones stay on it
-        assert (infinite > 0) == (name in ("perfbench", "random_2d"))
+        # the 2-D searches step off the feasible set or the box, so inf is
+        # checked too; the 1-D ones stay on both
+        assert (infinite > 0) == (name not in ("pinned_1d", "random_1d"))
 
     def test_tail_point_evaluation_count(self, solves):
         # perfbench's slowest point, (0.01, 0.8101, 0.01): its compass path

@@ -212,6 +212,13 @@ class TestLawOfCosinesAngle:
             got = law_of_cosines_angle(z1, z2, d)
             assert got == pytest.approx(angle_between(p, qq), abs=1e-9)
 
+    def test_scale_invariant_down_to_tiny_sides(self):
+        # z1 z2 = 1e-400 underflows to 0; sqrt(z1) sqrt(z2) does not
+        want = law_of_cosines_angle(1.0, 1.0, 1.0)
+        assert want == pytest.approx(math.pi / 3, abs=1e-15)
+        for scale in (1e-200, 1e-300, 5e-324):
+            assert law_of_cosines_angle(scale, scale, scale) == want
+
     def test_infeasible_triangle_rejected(self):
         with pytest.raises(DomainError):
             law_of_cosines_angle(1.0, 1.0, 10.0)
