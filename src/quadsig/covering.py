@@ -192,6 +192,8 @@ class CoveringCode:
     def __post_init__(self):
         _check_count(self.n, "n")
         _check_shell(self.sigma2, self.d0)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != self.n or centers.shape[0] < 1:
             raise ValueError("centers must be a nonempty (m, n) array")
@@ -256,10 +258,12 @@ def predicted_size_bounds(n: int, sigma2: float, d0: float) -> tuple[float, floa
 
     The minimum is certified (no covering can use fewer than 1/upper caps);
     the maximum is the reciprocal lower bound, an optimistic ceiling only.
+    A bound whose cap fraction underflows to 0 (n = 4000 at d0 = sigma2 / 2)
+    is math.inf: its count is past the largest double.
     """
     _check_shell(sigma2, d0)
     b = cap_fraction_bounds(_theta0(sigma2, d0), n)
-    return 1.0 / b.upper, 1.0 / b.lower
+    return tuple(1.0 / f if f > 0.0 else math.inf for f in (b.upper, b.lower))
 
 
 def build_covering(

@@ -91,6 +91,14 @@ REFUSED = [
      lambda: q.cell_cap(CONFIG, CODE, q.Signature(-1, 0)), ValueError),
     ("cell_cap center code.size",
      lambda: q.cell_cap(CONFIG, CODE, q.Signature(CODE.size, 0)), ValueError),
+    ("CoveringCode seed='x'", lambda: q.CoveringCode(N, 1.0, 0.6, CODE.centers, "x"),
+     ValueError),
+    ("CoveringCode seed=-3", lambda: q.CoveringCode(N, 1.0, 0.6, CODE.centers, -3),
+     ValueError),
+    ("CoveringCode seed=2.5", lambda: q.CoveringCode(N, 1.0, 0.6, CODE.centers, 2.5),
+     ValueError),
+    ("CoveringCode seed=True", lambda: q.CoveringCode(N, 1.0, 0.6, CODE.centers, True),
+     ValueError),
     ("load_covering seed list",
      lambda: q.load_covering(_saved_covering(seed=["x"])), ValueError),
 ]
@@ -240,7 +248,7 @@ ARGS = {
     "CoveringCode": call(
         choice([N], [2.5, True, 0, "4"]), choice([1.0], BAD), choice([0.6], BAD),
         choice([CODE.centers], [[[1.0] * N], "x", np.full((1, N), math.nan)]),
-        st.sampled_from([None, 1]),
+        choice([None, 1], ["x", -3, 2.5, True]),
     ),
     "CoveringReport": st.tuples(finite, finite, finite, finite, st.integers(1, 100)),
     "build_covering": call(count(3), work(1.0), work(0.5, 0.9), seed, count(50)),
@@ -315,7 +323,7 @@ RECORDS = {"ExponentSolution", "CoveringReport", "ExpansionAngle", "SchemePlan",
            "TrialEstimate", "ExponentFit"}
 # the callables documented to return math.inf for some valid arguments
 MAY_BE_INFINITE = {"id_rate", "id_rate_symmetric", "angle_probability_exponent",
-                   "test_channel_rate_bound"}
+                   "test_channel_rate_bound", "predicted_size_bounds"}
 PUBLIC = {name for module in (q.analysis, q.covering, q.errors, q.geometry, q.scheme,
                               q.simulate)
           for name in module.__all__ if callable(getattr(q, name))}
@@ -342,7 +350,7 @@ def _finite(value, allow_inf=False) -> bool:
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "biuf" and bool(np.isfinite(value).all())
     if isinstance(value, (tuple, list)):
-        return all(_finite(v) for v in value)
+        return all(_finite(v, allow_inf) for v in value)
     if dataclasses.is_dataclass(value):
         return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
     return False

@@ -548,6 +548,15 @@ class TestPredictedSizeBounds:
         # the certified minimum is the reciprocal upper cap bound
         assert lo == pytest.approx(1242.9, rel=1e-3)
 
+    def test_values_where_the_cap_fraction_is_a_normal_double(self):
+        assert predicted_size_bounds(8, 1.0, 0.5) == (53.0553203516523, 170.15556968692943)
+        assert predicted_size_bounds(16, 1.0, 0.5) == (1242.640584035646, 3850.181029833212)
+        assert predicted_size_bounds(48, 1.0, 0.5) == (144154685.65601122, 437040523.64142)
+
+    def test_count_past_the_double_range_is_inf(self):
+        # sin(theta0)^3999 = 2^-1999.5 underflows to 0
+        assert predicted_size_bounds(4000, 1.0, 0.5) == (math.inf, math.inf)
+
     def test_built_code_exceeds_certified_minimum(self, small_code):
         lo, _ = predicted_size_bounds(8, 1.0, 0.5)
         assert small_code.size >= lo
