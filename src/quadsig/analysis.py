@@ -200,13 +200,14 @@ def _program(pair: GaussianPair, d: float, rate: float, rx, ry):
 def _program_at(pair: GaussianPair, d: float, rate: float):
     """The program as a function of one point (rx, ry) of positive floats,
     equal bit for bit to float(_program(pair, d, rate, rx, ry)): the same
-    operations in the same order, the correctly rounded ones on floats."""
+    operations in the same order, the correctly rounded ones on floats.  A
+    point where z1 z2 under- or overflows is left to `_program`."""
     sx2, sy2, root_d = pair.sigma_x2, pair.sigma_y2, math.sqrt(d)
     reach = math.asin(2.0 ** (-rate))
 
     def program(rx, ry):
         z1, z2 = rx * sx2, ry * sy2
-        if not 0.0 < z1 * z2 < math.inf:  # under- or overflow: numpy's inf and nan rules
+        if not 0.0 < z1 * z2 < math.inf:  # 0 or inf: float / and min depart from numpy
             return float(_program(pair, d, rate, rx, ry))
         if abs(math.sqrt(z1) - math.sqrt(z2)) > root_d or z1 + z2 < d:
             return math.inf

@@ -440,7 +440,8 @@ def _perfbench_2d():
 class TestSolutionBits:
     """Every bit of both solvers' solutions, and the refiner's objective at
     every point its compass search visits, on the perfbench points, the
-    pinned symmetric set and 200 seeded instances of each solver.
+    pinned symmetric set and 200 seeded instances of each solver; the
+    objective also at two pairs of extreme variances.
 
     The refiner's objective must equal the array program `_program` at each
     visited point inside its box (0, rho_max]^2, and be inf outside it, bit
