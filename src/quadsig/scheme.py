@@ -69,6 +69,10 @@ class SchemeConfig:
             object.__setattr__(self, "sigma_max2", self.n * self.sigma_x2)
         if self.sigma_max2 is not None:
             _check_real(self.sigma_max2, "sigma_max2", 0.0)
+        # past 2**53 shells the float floor(s2 / eta) cannot name every shell
+        if self.mode == "shape_gain" and not self.sigma_max2 / self.eta <= 2.0**53:
+            raise ValueError(
+                f"eta {self.eta} makes more than 2**53 shells up to sigma_max2 {self.sigma_max2}")
 
     @property
     def num_shells(self) -> int:

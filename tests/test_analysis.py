@@ -336,6 +336,63 @@ class TestPrunedScan:
             sol = id_exponent_symmetric(sigma2, d, rate)
             assert (sol.rho_x, sol.rho_y) == (rhos[k], rhos[k])
 
+    @staticmethod
+    def _start_is_the_full_grid_argmin(pair, d, rate, rho_max, grid):
+        """Solve on id_exponent's grid and check its start against np.argmin of
+        `_program` over every cell, or its refusal where no cell is feasible;
+        returns that full program."""
+        rhos = np.minimum(np.arange(1, grid + 1) * (rho_max / grid), rho_max)
+        full = _program(pair, d, rate, rhos[:, None], rhos[None, :])
+        if np.isinf(full).all():
+            with pytest.raises(DomainError, match="no feasible grid cell"):
+                id_exponent(pair, d, rate, rho_max, grid)
+        else:
+            i, j = np.unravel_index(int(np.argmin(full)), full.shape)
+            sol = id_exponent(pair, d, rate, rho_max, grid)
+            assert (sol.rho_x, sol.rho_y) == (rhos[i], rhos[j])
+        return full
+
+    @pytest.mark.parametrize("grid", range(1, 8))
+    def test_grid_below_the_coarse_stride(self, grid):
+        # the scan's coarse grid, every 8th row and column, is then one cell
+        refused = 0
+        for pair, d, rate, rho_max, _ in _random_2d(40, 1210 + grid):
+            full = self._start_is_the_full_grid_argmin(pair, d, rate, rho_max, grid)
+            refused += bool(np.isinf(full).all())
+        assert refused < 40
+
+    def test_thin_difference_band_the_coarse_grid_misses(self):
+        # d just above (sqrt(sx2) - sqrt(sy2))^2 leaves a band of feasible
+        # cells that every 8th row and column can miss; the threshold is then inf
+        rng = np.random.default_rng(1211)
+        missed = 0
+        for _ in range(60):
+            sx2 = float(rng.uniform(0.2, 3.0))
+            sy2 = sx2 * float(rng.uniform(0.5, 2.0))
+            floor = (math.sqrt(sx2) - math.sqrt(sy2)) ** 2
+            d = floor * (1.0 + float(rng.choice([1e-9, 1e-6, 1e-3])))
+            grid = int(rng.integers(8, 60))
+            rho_max = grid * float(rng.uniform(1.0, 3.0))
+            pair = GaussianPair(sx2, sy2)
+            full = self._start_is_the_full_grid_argmin(
+                pair, d, id_rate(pair, d) + 0.1, rho_max, grid)
+            missed += bool(np.isinf(full[::8, ::8]).all() and np.isfinite(full).any())
+        assert missed >= 10
+
+    def test_no_pass_covers_the_whole_perfbench_grid(self, monkeypatch):
+        # the scan's speed: no `_bound` or `_program` call sees all 400 x 400
+        # cells at a perfbench point
+        sizes = []
+        for name in ("_bound", "_program"):
+            def counted(pair, d, *args, fn=getattr(analysis, name)):
+                sizes.append(np.broadcast(*args[-2:]).size)
+                return fn(pair, d, *args)
+            monkeypatch.setattr(analysis, name, counted)
+        for pair, d, rate, rho_max, grid in _perfbench_2d():
+            sizes.clear()
+            id_exponent(pair, d, rate, rho_max, grid)
+            assert sizes and max(sizes) < grid * grid, (pair, d)
+
 
 # perfbench's EXPONENT_GRID with sigma_x2 = 1 and rate = id_rate + above, and
 # the recorded solution: (sigma_y2, d, above, value, rho_x, rho_y, on the

@@ -50,6 +50,8 @@ def _saved_covering(**fields):
 REFUSED = [
     ("SchemeConfig n=2.5", lambda: q.SchemeConfig(2.5, 0.4, 1.0, 0.2), ValueError),
     ("SchemeConfig n=True", lambda: q.SchemeConfig(True, 0.4, 1.0, 0.2), ValueError),
+    ("SchemeConfig shape_gain eta=1e-19, 4e19 shells",
+     lambda: q.SchemeConfig(N, 0.4, 1.0, 1e-19, "shape_gain"), ValueError),
     ("similarity trials=True",
      lambda: q.estimate_similarity_probability(GAUSS, GAUSS, 1.5, N, True, 3),
      ValueError),

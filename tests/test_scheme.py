@@ -77,6 +77,15 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
             SchemeConfig(**{**good, name: value})
 
+    @pytest.mark.parametrize("eta", [1e-19, 1e-300])
+    def test_more_than_2_53_shells_refused(self, eta):
+        # past 2**53 shells the float floor(s2 / eta) cannot name every shell,
+        # and assign_many's int64 shell cast overflows
+        good = dict(n=8, d=0.4, sigma_x2=1.0, mode="shape_gain")
+        with pytest.raises(ValueError, match=f"^eta {eta} makes more than 2\\*\\*53 shells"):
+            SchemeConfig(**good, eta=eta)
+        assert SchemeConfig(**good, eta=8.0 / 2**53).num_shells == 2**53
+
     def test_out_of_range_shell_indices_summarized(self, gain8):
         index = np.array([0, -1, 5, 80, 3] * 1000)
         with pytest.raises(ValueError) as exc:
