@@ -248,7 +248,8 @@ def _minimize(pair, d, rate, rx, ry, rho_max, step, moves, tol) -> ExponentSolut
     grid's least program, each such column, and each cell whose `_bound`
     exceeds the program at the cell of least bound: the angle term is >= 0
     and rounded addition is monotone, so none of them can tie the grid's
-    minimum, and the pick is the full scan's."""
+    minimum, and the pick is the full scan's.  Along the diagonal rx is ry,
+    so the row and column masks agree."""
     coarse = [np.ascontiguousarray(r) for r in (rx[::_COARSE], ry[..., ::_COARSE])]
     t = np.min(_program(pair, d, rate, *coarse))
     # far past an ulp of log, arccos, sin or log2, so rounding that depends on
