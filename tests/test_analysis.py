@@ -8,6 +8,8 @@ import quadsig.analysis as analysis
 from quadsig.analysis import (
     GaussianPair,
     _angle_exponents,
+    _angle_floor,
+    _bound,
     _chi_square_exponents,
     _program,
     angle_probability_exponent,
@@ -34,6 +36,10 @@ class TestIdRate:
     def test_zero_at_variance_mismatch_floor(self):
         assert id_rate(GaussianPair(1.0, 0.25), 0.25) == pytest.approx(0.0, abs=1e-12)
         assert id_rate(GaussianPair(1.0, 0.25), 0.1) == 0.0
+
+    def test_never_negative(self):
+        # 2 sx sy rounds below sx2 + sy2 - d there, so the log was -1.6e-16
+        assert id_rate(GaussianPair(1e300, 1e300), 1.0) == 0.0
 
     def test_infinite_when_similarity_typical(self):
         assert id_rate(GaussianPair(1.0, 1.0), 2.0) == math.inf
@@ -291,9 +297,10 @@ class TestIdExponent:
 
 
 class TestPrunedScan:
-    """`_minimize` evaluates the program only where the chi-square bound can
-    still win; it must start the compass search from the cell an exhaustive
-    scan of `_program` picks, first in C order among ties."""
+    """`_minimize` evaluates the program only where its lower bound, the
+    chi-square sum plus `_angle_floor`, can still win; it must start the
+    compass search from the cell an exhaustive scan of `_program` picks,
+    first in C order among ties."""
 
     @pytest.fixture(autouse=True)
     def no_refine(self, monkeypatch):
@@ -381,7 +388,9 @@ class TestPrunedScan:
 
     def test_no_pass_covers_the_whole_perfbench_grid(self, monkeypatch):
         # the scan's speed: no `_bound` or `_program` call sees all 400 x 400
-        # cells at a perfbench point
+        # cells at a perfbench point, nor more than 5,000 at (0.5, 0.09, 2.0),
+        # whose minimum is mostly angle term (0.67 of 0.798 bits): the
+        # chi-square sum alone keeps 100,489 cells there and evaluates 33,044
         sizes = []
         for name in ("_bound", "_program"):
             def counted(pair, d, *args, fn=getattr(analysis, name)):
@@ -392,6 +401,33 @@ class TestPrunedScan:
             sizes.clear()
             id_exponent(pair, d, rate, rho_max, grid)
             assert sizes and max(sizes) < grid * grid, (pair, d)
+            assert max(sizes) <= 5000 or (pair.sigma_y2, d) != (0.5, 0.09)
+
+    def test_angle_floor_never_exceeds_the_float_term(self):
+        # `_angle_floor` of a row or column must not exceed the float angle
+        # term of any feasible cell in it, or the scan could drop the minimum
+        problems = [(p, rho_max, grid)
+                    for *p, rho_max, grid in _perfbench_2d() + _random_2d(200, 1701)]
+        problems += [((GaussianPair(s, s), d, rate), 1.0, None)
+                     for s, d, rate in [p[:3] for p in PINNED_1D] + _random_1d(200, 1702)]
+        floor_zero = c_near_one = 0
+        for (pair, d, rate), rho_max, grid in problems:
+            if grid is None:  # id_exponent_symmetric's diagonal
+                rx = ry = np.linspace(d / (2.0 * pair.sigma_x2), 1.0, 4001)
+            else:
+                rhos = np.minimum(np.arange(1, grid + 1) * (rho_max / grid), rho_max)
+                rx, ry = rhos[:, None], rhos[None, :]
+            z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
+            ax, ay = _angle_floor(rate, d, z1), _angle_floor(rate, d, z2)
+            feasible = np.isfinite(_bound(pair, d, rx, ry))
+            term = _angle_exponents(rate, d, z1, z2)
+            assert (np.maximum(ax, ay) <= term)[feasible].all(), (pair, d, rate)
+            assert (ax[z1 <= d] == 0.0).all() and (ay[z2 <= d] == 0.0).all()
+            floor_zero += int(np.sum(z1 <= d) + np.sum(z2 <= d))
+            c_near_one += int(np.sum(z1 >= 100.0 * d) + np.sum(z2 >= 100.0 * d))
+        # both ends of c's range: rows where z1 <= d and the floor is 0, and
+        # rows where z1 >> d, c -> 1 and arccos is most sensitive to c's rounding
+        assert floor_zero > 1000 and c_near_one > 1000
 
 
 # perfbench's EXPONENT_GRID with sigma_x2 = 1 and rate = id_rate + above, and
@@ -484,7 +520,7 @@ def _random_1d(count, seed):
 
 
 # equal variances at which z1 z2 underflows to 0 or overflows to inf on the
-# whole grid, so the refiner's objective takes numpy's rounding at every point
+# whole grid, which the solvers refuse
 EXTREME_VARIANCES = (1e-200, 1e300)
 
 
@@ -497,8 +533,7 @@ def _perfbench_2d():
 class TestSolutionBits:
     """Every bit of both solvers' solutions, and the refiner's objective at
     every point its compass search visits, on the perfbench points, the
-    pinned symmetric set, 200 seeded instances of each solver and two pairs
-    of extreme variances.
+    pinned symmetric set and 200 seeded instances of each solver.
 
     The refiner's objective must equal the array program `_program` at each
     visited point inside its box (0, rho_max]^2, and be inf outside it, bit
@@ -514,10 +549,6 @@ class TestSolutionBits:
             "87049bca48e3c2da13a022596d4096c511bfd7960ddfc337d560626df3481429",
         "random_1d":
             "fb0d34ab51349949f772eaa579f3b2d60ad9a9fd25c024ac33ceba85eb6018a4",
-        # value nan at (0.03, 0.97) and 0.0 at (1, 1): wrong, but pinned so
-        # that no change moves them unnoticed
-        "extreme":
-            "6e5f819e2cdbe99713fd5523b36a8ec1d0ee53c69a199f3ceae85969ca0249ed",
     }
 
     @pytest.fixture(scope="class")
@@ -538,12 +569,9 @@ class TestSolutionBits:
             "pinned_1d": [(id_exponent_symmetric, p[:3]) for p in PINNED_1D],
             "random_2d": [(id_exponent, p) for p in _random_2d(200, 1701)],
             "random_1d": [(id_exponent_symmetric, p) for p in _random_1d(200, 1702)],
-            "extreme": [(id_exponent, (GaussianPair(v, v), v, id_rate_symmetric(v, v) + 1.0))
-                        for v in EXTREME_VARIANCES],
         }
         out = {}
-        # numpy warns where the extreme variances' products under- or overflow
-        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_refine", recording)
             for name, problems in sets.items():
                 out[name] = []
@@ -573,8 +601,7 @@ class TestSolutionBits:
             assert len(visits) >= 20
             for (rx, ry), got in visits:
                 inside = 0.0 < rx <= rho_max and 0.0 < ry <= rho_max
-                with np.errstate(all="ignore"):
-                    want = float(_program(pair, d, rate, rx, ry)) if inside else math.inf
+                want = float(_program(pair, d, rate, rx, ry)) if inside else math.inf
                 assert got.hex() == want.hex(), (pair, d, rate, rx, ry)
                 infinite += got == math.inf
         # the 2-D searches step off the feasible set or the box, so inf is
@@ -586,6 +613,29 @@ class TestSolutionBits:
         tail = solves["perfbench"][6]
         assert tail[1][0].sigma_y2 == 0.01
         assert len(tail[3]) == 3297
+
+    def test_tail_point_evaluates_each_point_once(self, monkeypatch):
+        # the compass path above revisits points; each distinct one is evaluated once
+        calls = []
+        program_at = analysis._program_at
+
+        def counted(*args):
+            program = program_at(*args)
+            return lambda rx, ry: calls.append((rx, ry)) or program(rx, ry)
+
+        monkeypatch.setattr(analysis, "_program_at", counted)
+        id_exponent(*_perfbench_2d()[6][:3])
+        assert len(calls) == len(set(calls)) <= 2378
+
+    @pytest.mark.parametrize("v", EXTREME_VARIANCES)
+    def test_extreme_variances_refused(self, v):
+        # z1 z2 under- or overflows on every grid cell; the solvers returned
+        # value nan at (0.03, 0.97) for 1e-200 and 0.0 at (1, 1) for 1e300
+        rate = id_rate_symmetric(v, v) + 1.0
+        with pytest.raises(DomainError, match="normal double range"):
+            id_exponent(GaussianPair(v, v), v, rate)
+        with pytest.raises(DomainError, match="normal double range"):
+            id_exponent_symmetric(v, v, rate)
 
 
 class TestSimilarityExponent:
