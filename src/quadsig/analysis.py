@@ -13,11 +13,11 @@ rho_x, rho_y > 0, with z1 = rho_x sigma_x2 and z2 = rho_y sigma_y2, of
 subject to |sqrt(z1) - sqrt(z2)| <= sqrt(d) and z1 + z2 >= d.  `_minimize`
 solves it by a grid scan refined by compass search: in (rho_x, rho_y) for
 `id_exponent`, along rho_x = rho_y for `id_exponent_symmetric`.  The scan
-evaluates `_program` over arrays: on every 8th row and column, then only
-where a lower bound, the chi-square sum `_bound` plus `_angle_floor` (the
-least angle term over a row or column), can still reach the minimum.  At
-the 12 perfbench points it keeps 81 to 3,956 of the 160,000 cells, against
-up to 100,489 with the chi-square sum alone.
+evaluates `_program` over arrays twice: on every 8th row and column, then
+on the rows and columns where a lower bound, the chi-square sum plus
+`_angle_floor` (the least angle term over a row or column), can still reach
+the minimum.  At the 12 perfbench points it keeps 81 to 3,956 of the
+160,000 cells, against up to 100,489 with the chi-square sum alone.
 
 The compass search evaluates the program one point at a time, thousands of
 times on a hard instance, with `_program_at`.  numpy spends 10-15 us on
@@ -197,21 +197,15 @@ def _angle_floor(rate, d, z):
     return _angle_term(math.asin(2.0 ** (-rate)), c)
 
 
-def _bound(pair: GaussianPair, d: float, rx, ry):
-    """The program without its angle term, a lower bound since that is >= 0."""
+def _program(pair: GaussianPair, d: float, rate: float, rx, ry):
+    """The program's objective at positive scale factors rx, ry, inf where
+    (rx, ry) is infeasible: the chi-square sum plus the angle term, which is
+    >= 0.  It serves the scan's broadcasting arrays; the refiner evaluates
+    one point at a time with `_program_at`, which reproduces it bit for bit."""
     z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
     feasible = (np.abs(np.sqrt(z1) - np.sqrt(z2)) <= math.sqrt(d)) & (z1 + z2 >= d)
     ez = _chi_square_exponents(rx) + _chi_square_exponents(ry)
-    return np.where(feasible, ez, np.inf)
-
-
-def _program(pair: GaussianPair, d: float, rate: float, rx, ry):
-    """The program's objective at positive scale factors rx, ry, inf where
-    (rx, ry) is infeasible.  It serves the scan's broadcasting arrays; the
-    refiner evaluates one point at a time with `_program_at`, which
-    reproduces it bit for bit."""
-    z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
-    return _bound(pair, d, rx, ry) + _angle_exponents(rate, d, z1, z2)
+    return np.where(feasible, ez, np.inf) + _angle_exponents(rate, d, z1, z2)
 
 
 def _program_at(pair: GaussianPair, d: float, rate: float):
@@ -259,13 +253,13 @@ _COARSE = 8  # the scan's first threshold comes from every 8th row and column
 def _minimize(pair, d, rate, rx, ry, rho_max, step, moves, tol) -> ExponentSolution:
     """Scan the program on the grid of ascending broadcasting arrays rx, ry,
     then refine its first best cell, in C order, within (0, rho_max]^2 by
-    compass search, evaluating each point once.  With A = `_angle_floor`,
-    the scan skips each row with E_Z(rx) + A(z1) + min E_Z(ry) > t, the
-    coarse grid's least program, each such column, and each cell whose
-    `_bound` plus the larger A of its row and column exceeds the program at
-    the cell of least bound.  Rounded addition is monotone, so none of them
-    can tie the grid's minimum, and the pick is the full scan's.  Along the
-    diagonal rx is ry, so the row and column masks agree."""
+    compass search, evaluating each point once.  The scan takes t, the least
+    program on every `_COARSE`th row and column, a value the grid attains,
+    then evaluates the program once, on the rows with E_Z(rx) + A(z1) +
+    min E_Z(ry) <= t, A being `_angle_floor`, and the columns likewise.  The
+    program is at least that sum and rounded addition is monotone, so no
+    dropped row or column can tie the grid's minimum, and the pick is the
+    full scan's.  Along the diagonal rx is ry, so the two masks agree."""
     z = [float(rx.flat[k]) * pair.sigma_x2 * (float(ry.flat[k]) * pair.sigma_y2) for k in (0, -1)]
     if not 2.0**-1022 <= z[0] <= z[1] < math.inf:
         raise DomainError(f"z1 z2 spans {z} on the grid, past the normal double range")
@@ -275,19 +269,11 @@ def _minimize(pair, d, rate, rx, ry, rho_max, step, moves, tol) -> ExponentSolut
     # layout, or A's, can only keep more; a nan or inf t keeps everything
     t = t + 2.0**-40 * (1.0 + t)
     ex, ey = _chi_square_exponents(rx), _chi_square_exponents(ry)
-    i, j = ~(ex + np.min(ey) > t).ravel(), ~(ey + np.min(ex) > t).ravel()
-    rx, ry, ex, ey = rx[i], ry[..., j], ex[i], ey[..., j]
     ax, ay = _angle_floor(rate, d, rx * pair.sigma_x2), _angle_floor(rate, d, ry * pair.sigma_y2)
-    i, j = ~(ex + ax + np.min(ey) > t).ravel(), ~(ey + ay + np.min(ex) > t).ravel()
-    rx, ry, angle = rx[i], ry[..., j], np.maximum(ax[i], ay[..., j])
-    bound = _bound(pair, d, rx, ry)
-    if np.min(bound, initial=math.inf) == math.inf:
+    rx, ry = rx[~(ex + ax + np.min(ey) > t).ravel()], ry[..., ~(ey + ay + np.min(ex) > t).ravel()]
+    obj = _program(pair, d, rate, rx, ry)
+    if np.min(obj, initial=math.inf) == math.inf:
         raise DomainError(f"no feasible grid cell: rho_max = {rho_max} is too small")
-    grid = [np.broadcast_to(r, bound.shape) for r in (rx, ry)]
-    k = np.unravel_index([np.argmin(bound)], bound.shape)
-    p = _program(pair, d, rate, *(g[k] for g in grid))[0]
-    cells = bound + angle <= p + 2.0**-40 * (1.0 + p)  # with t's margin
-    obj = _program(pair, d, rate, *(g[cells] for g in grid))
     program = _program_at(pair, d, rate)
 
     @functools.cache  # the compass path revisits points: evaluate each once
@@ -295,7 +281,7 @@ def _minimize(pair, d, rate, rx, ry, rho_max, step, moves, tol) -> ExponentSolut
         inside = 0.0 < rx <= rho_max and 0.0 < ry <= rho_max
         return program(rx, ry) if inside else math.inf
 
-    x0 = tuple(float(g[cells][np.argmin(obj)]) for g in grid)
+    x0 = tuple(float(np.broadcast_to(r, obj.shape).flat[np.argmin(obj)]) for r in (rx, ry))
     value, (rx, ry) = _refine(f, x0, step, moves, tol)
     z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
     diff_gap = math.sqrt(d) - abs(math.sqrt(z1) - math.sqrt(z2))

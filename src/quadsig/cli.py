@@ -71,11 +71,11 @@ def _cmd_rate(args) -> int:
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop; none if a bound or step is NaN."""
+    """start, start + step, ... up to stop within 1e-9 step; none if a bound or step is NaN."""
     if step <= 0.0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
     values = []
-    while start + len(values) * step <= stop + 1e-12:
+    while start + len(values) * step <= stop + 1e-9 * step:
         values.append(start + len(values) * step)
     if not values:
         raise ValueError("empty sweep range")

@@ -231,11 +231,13 @@ def query_many(
 
     A row whose query point is not finite, or so large that its squared norm
     overflows, answers maybe without reaching the cap-distance formula.
-    The index arrays must be 1-D with one entry per signature, and every row
-    not marked erased must name a center in [0, code.size).
+    erased and the integer index arrays must be 1-D, one entry per signature,
+    and a row not marked erased must name a center in [0, code.size).
     """
     Y = np.asarray(Y, dtype=float)
     erased = np.asarray(erased, dtype=bool)
+    if erased.ndim != 1:
+        raise ValueError(f"expected a 1-D erased, not shape {erased.shape}")
     if Y.shape != (len(erased), config.n):
         raise ValueError(
             f"expected Y of shape ({len(erased)}, {config.n}), one row per "
@@ -243,10 +245,9 @@ def query_many(
         )
     centers_idx, shells_idx = np.asarray(centers_idx), np.asarray(shells_idx)
     for name, idx in (("centers_idx", centers_idx), ("shells_idx", shells_idx)):
-        if idx.shape != (len(erased),):
-            raise ValueError(
-                f"expected {name} of shape ({len(erased)},), not {idx.shape}"
-            )
+        if idx.shape != (len(erased),) or idx.dtype.kind not in "iu":
+            raise ValueError(f"expected {name} of shape ({len(erased)},) and an "
+                             f"integer dtype, not {idx.shape} {idx.dtype}")
     signed = ~erased
     # reductions under where= copy nothing; a gathered copy per batch raised
     # the peak RSS of a basic-mode estimate by about 5 MB

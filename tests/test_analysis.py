@@ -9,7 +9,6 @@ from quadsig.analysis import (
     GaussianPair,
     _angle_exponents,
     _angle_floor,
-    _bound,
     _chi_square_exponents,
     _program,
     angle_probability_exponent,
@@ -297,10 +296,10 @@ class TestIdExponent:
 
 
 class TestPrunedScan:
-    """`_minimize` evaluates the program only where its lower bound, the
-    chi-square sum plus `_angle_floor`, can still win; it must start the
-    compass search from the cell an exhaustive scan of `_program` picks,
-    first in C order among ties."""
+    """`_minimize` evaluates the program once on the coarse grid and once on
+    the rows and columns where its lower bound, the chi-square sum plus
+    `_angle_floor`, can still win; it must start the compass search from the
+    cell an exhaustive scan of `_program` picks, first in C order among ties."""
 
     @pytest.fixture(autouse=True)
     def no_refine(self, monkeypatch):
@@ -387,20 +386,23 @@ class TestPrunedScan:
         assert missed >= 10
 
     def test_no_pass_covers_the_whole_perfbench_grid(self, monkeypatch):
-        # the scan's speed: no `_bound` or `_program` call sees all 400 x 400
-        # cells at a perfbench point, nor more than 5,000 at (0.5, 0.09, 2.0),
-        # whose minimum is mostly angle term (0.67 of 0.798 bits): the
-        # chi-square sum alone keeps 100,489 cells there and evaluates 33,044
+        # the scan's speed: a perfbench solve makes two `_program` calls, the
+        # coarse grid and the kept sub-grid, and neither sees all 400 x 400
+        # cells, nor more than 5,000 at (0.5, 0.09, 2.0), whose minimum is
+        # mostly angle term (0.67 of 0.798 bits): the chi-square sum alone
+        # keeps 100,489 cells there
         sizes = []
-        for name in ("_bound", "_program"):
-            def counted(pair, d, *args, fn=getattr(analysis, name)):
-                sizes.append(np.broadcast(*args[-2:]).size)
-                return fn(pair, d, *args)
-            monkeypatch.setattr(analysis, name, counted)
+        program = analysis._program
+
+        def counted(pair, d, rate, rx, ry):
+            sizes.append(np.broadcast(rx, ry).size)
+            return program(pair, d, rate, rx, ry)
+
+        monkeypatch.setattr(analysis, "_program", counted)
         for pair, d, rate, rho_max, grid in _perfbench_2d():
             sizes.clear()
             id_exponent(pair, d, rate, rho_max, grid)
-            assert sizes and max(sizes) < grid * grid, (pair, d)
+            assert len(sizes) == 2 and max(sizes) < grid * grid, (pair, d, sizes)
             assert max(sizes) <= 5000 or (pair.sigma_y2, d) != (0.5, 0.09)
 
     def test_angle_floor_never_exceeds_the_float_term(self):
@@ -419,7 +421,7 @@ class TestPrunedScan:
                 rx, ry = rhos[:, None], rhos[None, :]
             z1, z2 = rx * pair.sigma_x2, ry * pair.sigma_y2
             ax, ay = _angle_floor(rate, d, z1), _angle_floor(rate, d, z2)
-            feasible = np.isfinite(_bound(pair, d, rx, ry))
+            feasible = np.isfinite(_program(pair, d, rate, rx, ry))
             term = _angle_exponents(rate, d, z1, z2)
             assert (np.maximum(ax, ay) <= term)[feasible].all(), (pair, d, rate)
             assert (ax[z1 <= d] == 0.0).all() and (ay[z2 <= d] == 0.0).all()

@@ -86,6 +86,15 @@ class TestSweep:
         crossings = np.sum(np.abs(np.diff(sign[d < 1.0]))) / 2
         assert crossings == 1
 
+    def test_small_scale_sweep_stops_at_stop(self, capsys):
+        # an absolute 1e-12 of slack past stop once gave 1,010 rows here
+        rc, out, _ = run(capsys, "sweep", "--axis", "d", "--start", "1e-14",
+                         "--stop", "2e-14", "--step", "1e-15", "--sigma2", "1")
+        assert rc == 0
+        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+        assert len(rows) == 11
+        assert float(rows[-1][0]) == pytest.approx(2e-14, rel=1e-9)
+
     def test_exponent_sweep_increasing(self, capsys):
         rc, out, _ = run(capsys, "sweep", "--axis", "rate", "--start", "2.1",
                          "--stop", "4.1", "--step", "0.25", "--sigma2", "1",

@@ -93,6 +93,17 @@ REFUSED = [
      lambda: q.cell_cap(CONFIG, CODE, q.Signature(-1, 0)), ValueError),
     ("cell_cap center code.size",
      lambda: q.cell_cap(CONFIG, CODE, q.Signature(CODE.size, 0)), ValueError),
+    ("query_many 0-d erased",
+     lambda: q.query_many(CONFIG, CODE, [0], [0], np.bool_(False), np.ones((1, N))),
+     ValueError),
+    ("query_many 2-D erased",
+     lambda: q.query_many(CONFIG, CODE, [0], [0], [[False]], np.ones((1, N))), ValueError),
+    ("query_many float centers_idx",
+     lambda: q.query_many(CONFIG, CODE, [0.0], [0], [False], np.ones((1, N))), ValueError),
+    ("query_many shells_idx 0.5",
+     lambda: q.query_many(GAIN, CODE, [0], [0.5], [False], np.ones((1, N))), ValueError),
+    ("query_many shells_idx True",
+     lambda: q.query_many(GAIN, CODE, [0], [True], [False], np.ones((1, N))), ValueError),
     ("CoveringCode seed='x'", lambda: q.CoveringCode(N, 1.0, 0.6, CODE.centers, "x"),
      ValueError),
     ("CoveringCode seed=-3", lambda: q.CoveringCode(N, 1.0, 0.6, CODE.centers, -3),
@@ -199,14 +210,22 @@ def call(draw, *args):
 
 @st.composite
 def query_rows(draw):
-    """query_many's arguments for a batch of rows, now and then misshapen."""
+    """query_many's arguments for a batch of rows, now and then misshapen, and
+    now and then with a float or bool index array or a 0-d or 2-D erased."""
     m = draw(st.integers(0, 12))
-    ci = draw(arrays(np.int64, m, elements=st.sampled_from([0, 1, 2, -1, CODE.size])))
-    si = draw(arrays(np.int64, draw(st.sampled_from([m, m + 1])),
-                     elements=st.integers(-1, 2)))
-    erased = draw(arrays(bool, m))
+    rows = [
+        draw(arrays(np.int64, m, elements=st.sampled_from([0, 1, 2, -1, CODE.size]))),
+        draw(arrays(np.int64, draw(st.sampled_from([m, m + 1])),
+                    elements=st.integers(-1, 2))),
+        draw(arrays(bool, m)),
+    ]
+    bad = draw(st.sampled_from([None, None, None, 0, 1, 2]))
+    if bad in (0, 1):
+        rows[bad] = rows[bad].astype(draw(st.sampled_from([float, bool])))
+    elif bad == 2:
+        rows[2] = draw(st.sampled_from([np.bool_(False), rows[2][:, None]]))
     Y = draw(arrays(float, (m, draw(st.sampled_from([N, N + 1]))), elements=coordinates))
-    return draw(configs), CODE, ci, si, erased, Y
+    return draw(configs), CODE, *rows, Y
 
 
 @st.composite

@@ -546,8 +546,9 @@ class TestBatchShapes:
 
 
 class TestQueryIndexValidation:
-    """query_many refuses index arrays it cannot trust: the wrong shape, or a
-    live row naming a center outside [0, code.size)."""
+    """query_many refuses index arrays it cannot trust: the wrong shape or
+    dtype, a misshapen erased, or a live row naming a center outside
+    [0, code.size)."""
 
     @pytest.fixture
     def six(self, basic8, code8):
@@ -581,6 +582,23 @@ class TestQueryIndexValidation:
         name = ("centers_idx", "shells_idx")[which]
         with pytest.raises(ValueError, match=rf"{name} of shape \(6,\)"):
             query_many(basic8, code8, *arrays, six[2], six[3])
+
+    @pytest.mark.parametrize("which, dtype", [(0, float), (0, bool), (1, float), (1, bool)])
+    def test_index_dtype(self, basic8, code8, six, which, dtype):
+        # a float or bool centers_idx raised IndexError, and a shells_idx of
+        # 0.5, or of True in shape_gain mode, was used to build a cap
+        arrays = list(six[:2])
+        arrays[which] = np.full(6, 0.5 if dtype is float else True, dtype=dtype)
+        name = ("centers_idx", "shells_idx")[which]
+        with pytest.raises(ValueError, match=rf"{name} .* integer dtype"):
+            query_many(basic8, code8, *arrays, six[2], six[3])
+
+    @pytest.mark.parametrize("shape", [(), (6, 1), (1, 6)])
+    def test_erased_must_be_1d(self, basic8, code8, six, shape):
+        # a 0-d erased raised TypeError, a 2-D one numpy's axis-remapping error
+        ci, si, er, Y = six
+        with pytest.raises(ValueError, match="1-D erased"):
+            query_many(basic8, code8, ci, si, np.zeros(shape, dtype=bool), Y)
 
     def test_basic_shell_index_summarized(self, basic8):
         with pytest.raises(ValueError) as exc:
