@@ -48,8 +48,8 @@ __all__ = [
 
 _BATCH = 8192  # fixed so the sample stream is reproducible
 _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
-# Rows per GEMM: a (_TILE, _CENTER_CHUNK) cosine tile is 4 MB, so the argmax
-# reads it back from cache.  Each search allocates one such workspace.
+# Rows per GEMM: a (_TILE, _CENTER_CHUNK) float32 cosine tile is 2 MB, so the
+# argmax reads it back from cache.  Each search allocates one such workspace.
 _TILE = 1024
 
 

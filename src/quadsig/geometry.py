@@ -182,14 +182,13 @@ def _cap_distances(Y, axes, half_angle, inner, outer) -> np.ndarray:
 
     Reduces to polar coordinates in the plane spanned by the axis and y: the
     nearest cap point has angular coordinate min(beta, half_angle) and radial
-    coordinate clamp(s cos(beta - phi*), inner, outer).  A zero row counts as
-    on the axis; a non-finite row gives NaN.
+    coordinate clamp(s cos(beta - phi*), inner, outer).  A zero row lies the
+    inner radius away whatever its angle; a non-finite row gives NaN.
     """
     s = np.linalg.norm(Y, axis=1)
     s_safe = np.where(s > 0.0, s, 1.0)
     cosb = np.einsum("ij,ij->i", Y / s_safe[:, None], axes)
     beta = np.arccos(np.clip(cosb, -1.0, 1.0))
-    beta = np.where(s > 0.0, beta, 0.0)
     delta = np.maximum(beta - half_angle, 0.0)
     r = np.clip(s * np.cos(delta), inner, outer)
     d2 = s * s + r * r - 2.0 * s * r * np.cos(delta)

@@ -263,8 +263,6 @@ def query_many(
     maybe = np.ones(Y.shape[0], dtype=bool)
     finite = np.isfinite(np.einsum("ij,ij->i", Y, Y))
     live = np.flatnonzero(signed & finite)
-    if live.size == 0:
-        return maybe
     inner, outer = config.shell_radii(shells_idx[live])
     dist = _cap_distances(
         Y[live], code._units[centers_idx[live]], code.theta0, inner, outer

@@ -1,14 +1,27 @@
 """Independent brute-force oracles shared by the unit and acceptance suites.
 
-These deliberately avoid the library's algebra: distances come from explicit
-n-D points on (phi, r) grids, not from the clamped closed form under test,
-and the covering reference tests one sample at a time where the builder
+These deliberately avoid the library's algebra.  The cap-distance oracle
+searches (phi, r) grids, not the clamped closed form under test, and it
+evaluates each grid point in the plane of the cap axis a and y: with
+y = h a + v b (b a unit vector orthogonal to a, v >= 0), the cap point
+r (cos phi a + sin phi b) lies hypot(r cos phi - h, r sin phi - v) from y.
+The covering reference tests one sample at a time where the builder
 searches blocks of samples against chunks of centers.
 """
 
 import math
 
 import numpy as np
+
+
+def plane_distances(y, axis, phis, rs):
+    """Distances from y to the points r (cos phi a + sin phi b), one row per
+    r and one column per phi, evaluated in the plane of a and y (module
+    docstring)."""
+    a = axis / np.linalg.norm(axis)
+    h = float(np.dot(y, a))
+    v = float(np.linalg.norm(y - h * a))
+    return np.hypot(rs[:, None] * np.cos(phis) - h, rs[:, None] * np.sin(phis) - v)
 
 
 def grid_min_distance(y, cap, stage_pts=400, stages=3):
@@ -19,40 +32,21 @@ def grid_min_distance(y, cap, stage_pts=400, stages=3):
     comfortably below 1e-6 absolute for unit-scale caps.
     """
     y = np.asarray(y, dtype=float)
-    a = cap.axis / np.linalg.norm(cap.axis)
-    perp = y - np.dot(y, a) * a
-    pn = np.linalg.norm(perp)
-    if pn > 1e-30:
-        b = perp / pn
-    else:  # y parallel to the axis; any orthogonal direction works
-        probe = np.zeros_like(a)
-        probe[int(np.argmin(np.abs(a)))] = 1.0
-        b = probe - np.dot(probe, a) * a
-        b /= np.linalg.norm(b)
-
-    def scan(phis, rs):
-        pts = rs[:, None, None] * (
-            np.cos(phis)[None, :, None] * a[None, None, :]
-            + np.sin(phis)[None, :, None] * b[None, None, :]
-        )
-        d = np.linalg.norm(pts - y[None, None, :], axis=2)
-        k = np.unravel_index(int(np.argmin(d)), d.shape)
-        return float(d[k]), phis[k[1]], rs[k[0]]
-
     phi_lo, phi_hi = 0.0, cap.half_angle
     r_lo, r_hi = cap.inner_radius, cap.outer_radius
     best = np.inf
     for _ in range(stages):
         phis = np.linspace(phi_lo, phi_hi, stage_pts)
         rs = np.linspace(r_lo, r_hi, stage_pts)
-        val, phi0, r0 = scan(phis, rs)
-        best = min(best, val)
+        d = plane_distances(y, cap.axis, phis, rs)
+        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+        best = min(best, float(d[i, j]))
         dphi = (phis[1] - phis[0]) if stage_pts > 1 else 0.0
         dr = (rs[1] - rs[0]) if stage_pts > 1 else 0.0
-        phi_lo = max(0.0, phi0 - 2 * dphi)
-        phi_hi = min(cap.half_angle, phi0 + 2 * dphi)
-        r_lo = max(cap.inner_radius, r0 - 2 * dr)
-        r_hi = min(cap.outer_radius, r0 + 2 * dr)
+        phi_lo = max(0.0, phis[j] - 2 * dphi)
+        phi_hi = min(cap.half_angle, phis[j] + 2 * dphi)
+        r_lo = max(cap.inner_radius, rs[i] - 2 * dr)
+        r_hi = min(cap.outer_radius, rs[i] + 2 * dr)
     return best
 
 

@@ -7,7 +7,6 @@ import pytest
 from oracles import greedy_covering_units
 
 import quadsig.covering as covering_module
-from quadsig.analysis import GaussianPair, id_rate
 from quadsig.covering import (
     _BATCH,
     _CENTER_CHUNK,
@@ -24,7 +23,7 @@ from quadsig.covering import (
     verify_covering,
 )
 from quadsig.geometry import cap_fraction_exact
-from quadsig.scheme import SchemeConfig, assign_many, plan_scheme
+from quadsig.scheme import SchemeConfig, assign_many
 
 
 @pytest.fixture(scope="module")
@@ -132,15 +131,13 @@ class TestBuildCovering:
                 angle <= small_code.theta0
             )
 
-    def test_golden_multi_chunk_build_and_verify(self):
+    def test_golden_multi_chunk_build_and_verify(self, code40):
         # 1,398 centers span three center chunks, so late-build samples leave
         # the search early; the centers and the covered count must be those
         # of a full search.  Recorded with OpenBLAS 0.3.31 (scipy-openblas,
         # DYNAMIC_ARCH) on an x86-64 Xeon; another BLAS build may round dot
         # products differently and legitimately change them.
-        pair = GaussianPair(1.0, 1.0)
-        d0 = plan_scheme(pair, 0.02, id_rate(pair, 0.02) + 0.5, 40, 0.1).d0
-        code = build_covering(40, 1.0, d0, 4001, 5000)
+        code = code40
         assert code.size == 1398
         assert hashlib.sha256(code.centers.tobytes()).hexdigest() == (
             "2fcd3440fc620281b4e9ece41aaa80497a60a84ae21bc18b49d79390b5b4a159"

@@ -21,7 +21,7 @@ from quadsig.geometry import (
 )
 
 
-from oracles import grid_min_distance
+from oracles import grid_min_distance, plane_distances
 
 
 class TestAngleBetween:
@@ -302,6 +302,28 @@ class TestMinDistanceToThickCap:
                 assert d == 0.0
             else:
                 assert d > 0.0
+
+    def test_plane_reduction_matches_nd_points(self):
+        # the grid oracle's plane formula against explicit n-D cap points,
+        # with y off the axis, along it and opposite it
+        rng = np.random.default_rng(21)
+        phis, rs = np.linspace(0.0, 1.5, 9), np.linspace(0.5, 2.5, 7)
+        for n in (2, 3, 8):
+            axis = rng.standard_normal(n)
+            a = axis / np.linalg.norm(axis)
+            off = 2.0 * rng.standard_normal(n)
+            # b is y's part orthogonal to a; for y on the axis line, any
+            # direction orthogonal to a
+            for y, w in ((off, off), (1.7 * a, rng.standard_normal(n)),
+                         (-1.7 * a, rng.standard_normal(n))):
+                b = w - np.dot(w, a) * a
+                b /= np.linalg.norm(b)
+                pts = rs[:, None, None] * (
+                    np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b
+                )
+                want = np.linalg.norm(pts - y, axis=2)
+                got = plane_distances(y, axis, phis, rs)
+                np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(99)

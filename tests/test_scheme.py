@@ -32,16 +32,6 @@ PAIR = GaussianPair(1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
-def code8():
-    return build_covering(8, 1.0, 0.3, seed=5, audit_samples=50_000)
-
-
-@pytest.fixture(scope="module")
-def basic8():
-    return SchemeConfig(n=8, d=0.4, sigma_x2=1.0, eta=0.15, mode="basic")
-
-
-@pytest.fixture(scope="module")
 def gain8():
     return SchemeConfig(n=8, d=0.4, sigma_x2=1.0, eta=0.1, mode="shape_gain")
 
@@ -462,6 +452,15 @@ class TestNonFiniteInput:
             )
             # the finite antipodal point shows the rows are live
             assert maybe.tolist() == [True, True, True, False]
+            # with that row erased, no row is left to reach the cap distance
+            erased = np.arange(m) == m - 1
+            assert query_many(config, code8, np.full(m, sig.center_index),
+                              np.full(m, sig.shell_index), erased, Y).all()
+        # a zero query row lies its cell's inner radius away: sqrt(8 * 0.85),
+        # beyond sqrt(8 * 0.4), in basic mode; 0 in shape_gain shell 0
+        zero = np.zeros((1, 8))
+        assert query_many(basic8, code8, [0], [0], [False], zero).tolist() == [False]
+        assert query_many(gain8, code8, [0], [0], [False], zero).tolist() == [True]
 
     def test_overflowing_query_answers_maybe(self, basic8, code8):
         sig, x = self.live_signature(basic8, code8)
@@ -501,11 +500,6 @@ class TestSeededAssignment:
         ("shape_gain", "laplace", 72):
             "d79ac9c5e0be69ad59ba0449ff3150aeda0ea776ea969dc93556cd2a3d4a6f2e",
     }
-
-    @pytest.fixture(scope="class")
-    def code40(self):
-        plan = plan_scheme(PAIR, 0.02, id_rate(PAIR, 0.02) + 0.5, 40, 0.1)
-        return build_covering(40, 1.0, plan.d0, seed=4001, audit_samples=5000)
 
     @pytest.mark.parametrize("mode, family, seed", list(FINGERPRINTS))
     def test_fingerprint(self, code40, mode, family, seed):

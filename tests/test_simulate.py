@@ -28,16 +28,6 @@ from quadsig.simulate import (
 )
 
 
-@pytest.fixture(scope="module")
-def code8():
-    return build_covering(8, 1.0, 0.3, seed=5, audit_samples=50_000)
-
-
-@pytest.fixture(scope="module")
-def basic8():
-    return SchemeConfig(n=8, d=0.4, sigma_x2=1.0, eta=0.15, mode="basic")
-
-
 class TestSources:
     def test_variances_match_request(self):
         rng = np.random.default_rng(1)
