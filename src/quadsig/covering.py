@@ -27,12 +27,27 @@ cos theta0 - gamma is not.  A nearest center whose float32 cosine beats
 every other center's by more than 2 gamma is the float64 product's nearest
 center too.  Only the samples the screen leaves open, which are rare, are
 decided by the float64 product, so every decision is the float64 one.
+
+Build and verify draw their samples in blocks of _BATCH // 2 rows
+(`_UnitBlocks`).  With more than one pool thread
+(QUADSIG_THREADS, default the usable CPUs), the next block is drawn on the
+shard pool while the caller screens this one.  As for the Monte Carlo
+shards, the run holds the pool's lock and keeps OpenBLAS at one thread
+(`_PinnedPool`), so the draw and BLAS do not compete for the cores.  One
+draw is in flight at a time, so the stream order, and with it every center
+and covered count, is the serial one at any thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +61,7 @@ __all__ = [
     "overhead_budget",
 ]
 
-_BATCH = 8192  # fixed so the sample stream is reproducible
+_BATCH = 8192  # rows per Monte Carlo block; the covering draws half blocks
 _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
 # Rows per GEMM: a (_TILE, _CENTER_CHUNK) float32 cosine tile is 2 MB, so the
 # argmax reads it back from cache.  Each search allocates one such workspace.
@@ -266,6 +281,168 @@ def predicted_size_bounds(n: int, sigma2: float, d0: float) -> tuple[float, floa
     return tuple(1.0 / f if f > 0.0 else math.inf for f in (b.upper, b.lower))
 
 
+def _threads() -> int:
+    """Pool threads: QUADSIG_THREADS if it is an integer, else the usable CPUs."""
+    try:
+        t = int(os.environ["QUADSIG_THREADS"])
+    except (KeyError, ValueError):
+        if hasattr(os, "sched_getaffinity"):
+            t = len(os.sched_getaffinity(0))
+        else:
+            t = os.cpu_count() or 1
+    return max(1, t)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS that numpy bundles, or
+    None when numpy ships no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+# The pool's threads are kept across calls: threads made afresh for every
+# call would each start on a new malloc arena and grow peak memory from call
+# to call.  One pooled run at a time holds the lock.
+_lock = threading.Lock()
+_pool = None  # (thread count, executor)
+
+
+def _reset_pool() -> None:
+    """A forked child inherits none of the pool's threads: start afresh."""
+    global _lock, _pool
+    _lock, _pool = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+class _PinnedPool:
+    """`with _PinnedPool(threads) as pool:` runs the block as the one pooled
+    run, on an executor of `threads` threads, with OpenBLAS held at one
+    thread so that pool threads and BLAS threads do not compete for the
+    cores.  The exit restores BLAS's thread count and releases the lock,
+    also when the block raises.  The lock is not reentrant, so work running
+    on the pool must not start a pooled run of its own."""
+
+    def __init__(self, threads: int):
+        self.threads = threads
+
+    def __enter__(self) -> ThreadPoolExecutor:
+        global _pool
+        self._held = _lock
+        self._held.acquire()
+        try:
+            if _pool is None or _pool[0] != self.threads:
+                # the old executor's idle threads exit once it is unreferenced
+                _pool = (self.threads, ThreadPoolExecutor(self.threads, "quadsig-shard"))
+            get, self._put = _openblas_threads() or (lambda: 0, lambda count: None)
+            self._saved = get()
+            self._put(1)
+        except BaseException:
+            self._held.release()
+            raise
+        return _pool[1]
+
+    def __exit__(self, *exc) -> None:
+        try:
+            self._put(self._saved)
+        finally:
+            self._held.release()
+
+
+def _fill_units(rng, buf) -> np.ndarray:
+    """Fill buf with the next standard normal rows of rng and scale each row
+    to unit norm in place, a tile at a time; the norm is np.linalg.norm's
+    arithmetic, so the rows are those of a whole-block draw."""
+    rng.standard_normal(out=buf)
+    for r0 in range(0, buf.shape[0], _TILE):
+        tile = buf[r0 : r0 + _TILE]
+        tile /= np.sqrt(np.add.reduce(tile * tile, axis=1))[:, None]
+    return buf
+
+
+class _UnitBlocks:
+    """The uniform unit samples of rng's stream, `total` in all (None: no
+    end), in blocks of at most _BATCH // 2 rows:
+    `with _UnitBlocks(rng, n, total) as blocks: for block in blocks: ...`
+
+    With more than one pool thread and more than one block, the next block
+    is drawn on the pool while the caller works on this one.  Only one draw
+    is in flight, submitted after the previous block was taken, so the
+    stream order is the serial one.  Otherwise each block is drawn when it
+    is taken, and BLAS is left alone.  The exit waits for a draw still in
+    flight before it releases the pool.
+
+    Each block is a fresh array allocated on the caller's thread.  Two
+    long-lived buffers used in turn raised perfbench sim_basic's peak RSS by
+    about 6 MB, through the heap layout that the set-up builds left behind.
+    """
+
+    def __init__(self, rng, n: int, total: int | None = None):
+        self._rng = rng
+        self._left = math.inf if total is None else total
+        self._shape = (int(min(_BATCH // 2, self._left)), n)
+        threads = _threads()
+        pooled = threads > 1 and self._left > self._shape[0]
+        self._pinned = _PinnedPool(threads) if pooled else None
+        self._pool = self._next = None
+
+    def __enter__(self) -> _UnitBlocks:
+        if self._pinned is not None:
+            self._pool = self._pinned.__enter__()
+        try:
+            self._next = self._claim()
+        except BaseException:
+            self.__exit__(None, None, None)
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is None:
+            return
+        try:
+            if self._next is not None:
+                self._next.exception()  # waits: the pooled run ends with its last draw
+        finally:
+            self._pinned.__exit__(*exc)
+
+    def _claim(self):
+        """The next block's array, or its draw on the pool; None past the end."""
+        rows = int(min(self._shape[0], self._left))
+        if rows == 0:
+            return None
+        buf = np.empty((rows, self._shape[1]))
+        self._left -= rows
+        if self._pool is None:
+            return buf
+        return self._pool.submit(_fill_units, self._rng, buf)
+
+    def __iter__(self) -> _UnitBlocks:
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if self._next is None:
+            raise StopIteration
+        if self._pool is None:
+            block = _fill_units(self._rng, self._next)
+        else:
+            block = self._next.result()
+        self._next = self._claim()
+        return block
+
+
 def build_covering(
     n: int, sigma2: float, d0: float, seed: int, audit_samples: int = 100_000
 ) -> CoveringCode:
@@ -287,23 +464,24 @@ def build_covering(
     m = 0
     drawn = 0  # stream index of the block's first sample
     last = -1  # stream index of the newest center; every later sample is covered
-    while drawn - last - 1 < audit_samples:
-        block = rng.standard_normal((_BATCH, n))
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
-        covered = _covered(units, m, block, cos_thr)
-        start = m
-        for i in np.flatnonzero(~covered):
-            if drawn + i - last - 1 >= audit_samples:
+    with _UnitBlocks(rng, n) as blocks:
+        for block in blocks:
+            covered = _covered(units, m, block, cos_thr)
+            start = m
+            for i in np.flatnonzero(~covered):
+                if drawn + i - last - 1 >= audit_samples:
+                    break
+                # re-check against centers added earlier in this same block
+                if m > start and _reaches(units[start:m], block[i], cos_thr):
+                    continue
+                if m == len(units):
+                    units = np.concatenate([units, np.empty_like(units)])
+                units[m] = block[i]
+                m += 1
+                last = drawn + int(i)
+            drawn += block.shape[0]
+            if drawn - last - 1 >= audit_samples:
                 break
-            # re-check against centers added earlier in this same block
-            if m > start and _reaches(units[start:m], block[i], cos_thr):
-                continue
-            if m == len(units):
-                units = np.concatenate([units, np.empty_like(units)])
-            units[m] = block[i]
-            m += 1
-            last = drawn + int(i)
-        drawn += _BATCH
 
     centers = units[:m] * math.sqrt(n * (sigma2 - d0))
     return CoveringCode(n=n, sigma2=sigma2, d0=d0, centers=centers, seed=seed)
@@ -315,10 +493,9 @@ def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringRepo
     seed = _check_count(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     covered = 0
-    for lo in range(0, samples, _BATCH):
-        block = rng.standard_normal((min(_BATCH, samples - lo), code.n))
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
-        covered += int(_covered(code._units, code.size, block, code.cos_theta0).sum())
+    with _UnitBlocks(rng, code.n, samples) as blocks:
+        for block in blocks:
+            covered += int(_covered(code._units, code.size, block, code.cos_theta0).sum())
     return CoveringReport(
         rate=code.rate,
         bound=0.5 * math.log2(code.sigma2 / code.d0),

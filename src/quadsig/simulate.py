@@ -7,25 +7,22 @@ SeedSequence(seed).spawn(...)[i], and results merge by summation, so estimates
 are reproducible bit for bit regardless of how many worker threads run them.
 QUADSIG_THREADS caps shard parallelism (default: the usable CPUs).  While more
 than one shard thread runs, numpy's OpenBLAS is held at one thread, so shard
-threads and BLAS threads do not compete for the cores.  Sharded runs started
-from several threads take turns, one pooled run at a time.
+threads and BLAS threads do not compete for the cores.  The pool, its lock and
+the BLAS pin are covering.py's `_PinnedPool`, which the covering build and
+verify also use to draw their next sample block; pooled runs started from
+several threads, sharded or not, take turns, one at a time.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import GaussianPair, _check_rate
-from .covering import _BATCH, CoveringCode, build_covering
+from .covering import _BATCH, CoveringCode, _PinnedPool, _threads, build_covering
 from .errors import DegenerateDataError, PreconditionError, _check_count, _check_real
 from .scheme import SchemeConfig, assign_many, plan_scheme, query_many
 
@@ -137,56 +134,8 @@ def sample_pair(
     return x, y
 
 
-def _threads() -> int:
-    """Shard threads: QUADSIG_THREADS if it is an integer, else the usable CPUs."""
-    try:
-        t = int(os.environ["QUADSIG_THREADS"])
-    except (KeyError, ValueError):
-        if hasattr(os, "sched_getaffinity"):
-            t = len(os.sched_getaffinity(0))
-        else:
-            t = os.cpu_count() or 1
-    return max(1, t)
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS that numpy bundles, or
-    None when numpy ships no such library."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-# The shard threads are kept across calls: threads made afresh for every call
-# would each start on a new malloc arena and grow peak memory from call to
-# call.  One pooled run at a time holds the lock.
-_lock = threading.Lock()
-_pool = None  # (thread count, executor)
-
-
-def _reset_pool() -> None:
-    """A forked child inherits none of the pool's threads: start afresh."""
-    global _lock, _pool
-    _lock, _pool = threading.Lock(), None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
-
-
 def _run_sharded(trials: int, seed: int, worker):
     """worker(rng, count) -> tuple of summable ints; returns elementwise sums."""
-    global _pool
     trials = _check_count(trials, "trials")
     seed = _check_count(seed, "seed", 0)
     num_shards = (trials + SHARD_SIZE - 1) // SHARD_SIZE
@@ -200,19 +149,10 @@ def _run_sharded(trials: int, seed: int, worker):
     if min(threads, num_shards) == 1:
         results = [run(i) for i in range(num_shards)]
     else:
-        get, put = _openblas_threads() or (lambda: 0, lambda count: None)
-        with _lock:
-            if _pool is None or _pool[0] != threads:
-                # the old executor's idle threads exit once it is unreferenced
-                _pool = (threads, ThreadPoolExecutor(threads, "quadsig-shard"))
-            saved = get()
-            put(1)
-            try:
-                futures = [_pool[1].submit(run, i) for i in range(num_shards)]
-                wait(futures)
-                results = [f.result() for f in futures]
-            finally:
-                put(saved)
+        with _PinnedPool(threads) as pool:
+            futures = [pool.submit(run, i) for i in range(num_shards)]
+            wait(futures)
+            results = [f.result() for f in futures]
     return tuple(int(sum(parts)) for parts in zip(*results))
 
 

@@ -4,7 +4,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import pytest
 
 from quadsig.analysis import GaussianPair, id_rate
-from quadsig.covering import build_covering
+from quadsig.covering import _openblas_threads, build_covering
 from quadsig.scheme import SchemeConfig, plan_scheme
 
 
@@ -38,3 +38,21 @@ def code40():
     pair = GaussianPair(1.0, 1.0)
     plan = plan_scheme(pair, 0.02, id_rate(pair, 0.02) + 0.5, 40, 0.1)
     return build_covering(40, 1.0, plan.d0, seed=4001, audit_samples=5000)
+
+
+@pytest.fixture
+def blas_get():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    and put back after it."""
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread setter")
+    get, put = blas
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS cannot run two threads here")
+        yield get
+    finally:
+        put(before)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -131,19 +132,22 @@ class TestBuildCovering:
                 angle <= small_code.theta0
             )
 
-    def test_golden_multi_chunk_build_and_verify(self, code40):
+    def test_golden_multi_chunk_build_and_verify(self, code40, monkeypatch):
         # 1,398 centers span three center chunks, so late-build samples leave
         # the search early; the centers and the covered count must be those
-        # of a full search.  Recorded with OpenBLAS 0.3.31 (scipy-openblas,
-        # DYNAMIC_ARCH) on an x86-64 Xeon; another BLAS build may round dot
-        # products differently and legitimately change them.
-        code = code40
-        assert code.size == 1398
-        assert hashlib.sha256(code.centers.tobytes()).hexdigest() == (
-            "2fcd3440fc620281b4e9ece41aaa80497a60a84ae21bc18b49d79390b5b4a159"
-        )
-        rep = verify_covering(code, 100_000, 4002)
-        assert rep.sampled_coverage == 99_915 / 100_000
+        # of a full search, drawn serially or pipelined on the pool.  Recorded
+        # with OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH) on an x86-64
+        # Xeon; another BLAS build may round dot products differently and
+        # legitimately change them.
+        golden = "2fcd3440fc620281b4e9ece41aaa80497a60a84ae21bc18b49d79390b5b4a159"
+        assert code40.size == 1398
+        assert hashlib.sha256(code40.centers.tobytes()).hexdigest() == golden
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("QUADSIG_THREADS", threads)
+            code = build_covering(40, 1.0, code40.d0, seed=4001, audit_samples=5000)
+            assert hashlib.sha256(code.centers.tobytes()).hexdigest() == golden
+            rep = verify_covering(code, 100_000, 4002)
+            assert rep.sampled_coverage == 99_915 / 100_000
 
     @pytest.mark.parametrize(
         "n, d0, seed, audit",
@@ -154,18 +158,97 @@ class TestBuildCovering:
             (2, 1e-4, 2, 2000),
         ],
     )
-    def test_matches_sample_at_a_time_greedy(self, n, d0, seed, audit):
+    def test_matches_sample_at_a_time_greedy(self, n, d0, seed, audit, monkeypatch):
         # The block-wise builder must add exactly the centers, in order, of a
         # walk that tests one sample at a time and stops after `audit`
         # covered samples in a row: runs that end at, or straddle, a block
-        # boundary included.
+        # boundary included, drawn serially or on the pool.
         want, in_block = greedy_covering_units(n, 1.0, d0, seed, audit, _BATCH)
-        code = build_covering(n, 1.0, d0, seed, audit)
-        assert np.array_equal(code.centers, want * math.sqrt(n * (1.0 - d0)))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QUADSIG_THREADS", threads)
+            code = build_covering(n, 1.0, d0, seed, audit)
+            assert np.array_equal(code.centers, want * math.sqrt(n * (1.0 - d0)))
         if n == 2:
             # samples after the first block that only a center added earlier
             # in the same block covers: the builder's in-block re-check
             assert in_block > 0
+
+
+class TestSamplePipeline:
+    """Draws run one block ahead on the shard pool with BLAS at one thread,
+    and every exit gives the pool and BLAS's thread count back."""
+
+    def test_blas_pinned_in_pipeline_and_restored(self, blas_get, monkeypatch):
+        seen = []
+        screen, draw = covering_module._covered, covering_module._fill_units
+
+        def covered(*args):
+            seen.append(blas_get())
+            return screen(*args)
+
+        def fill(*args):
+            seen.append(blas_get())  # on a pool thread when pipelined
+            return draw(*args)
+
+        monkeypatch.setattr(covering_module, "_covered", covered)
+        monkeypatch.setattr(covering_module, "_fill_units", fill)
+        monkeypatch.setenv("QUADSIG_THREADS", "2")
+        code = build_covering(4, 1.0, 0.6, 42, 2 * _BATCH + 7)
+        assert len(seen) >= 10 and set(seen) == {1}
+        assert blas_get() == 2
+        seen.clear()
+        verify_covering(code, 2 * _BATCH + 7, 1)
+        assert len(seen) == 10 and set(seen) == {1}
+        assert blas_get() == 2
+        # one block, or one pool thread, keeps BLAS's own threads
+        seen.clear()
+        verify_covering(code, _BATCH // 2, 1)
+        monkeypatch.setenv("QUADSIG_THREADS", "1")
+        assert np.array_equal(build_covering(4, 1.0, 0.6, 42, 2 * _BATCH + 7).centers,
+                              code.centers)
+        verify_covering(code, 2 * _BATCH + 7, 1)
+        assert len(seen) >= 12 and set(seen) == {2}
+
+    @pytest.mark.parametrize("failing", ["_covered", "_fill_units"])
+    def test_failure_midway_waits_restores_blas_and_releases_lock(
+        self, blas_get, failing, monkeypatch
+    ):
+        # the screen or the draw of the third block raises; the exit must wait
+        # for the draw still in flight before it gives the pool back
+        calls = live = 0
+        draw = covering_module._fill_units
+
+        def slow_fill(*args):
+            nonlocal live
+            live += 1
+            time.sleep(0.05)
+            try:
+                return draw(*args)
+            finally:
+                live -= 1
+
+        monkeypatch.setattr(covering_module, "_fill_units", slow_fill)
+        real = getattr(covering_module, failing)
+
+        def flaky(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise RuntimeError("third block failed")
+            return real(*args)
+
+        monkeypatch.setattr(covering_module, failing, flaky)
+        monkeypatch.setenv("QUADSIG_THREADS", "2")
+        code = make_code(4, 1.0, 0.6, np.eye(4))
+        for run in (lambda: build_covering(4, 1.0, 0.6, 42, 2 * _BATCH + 7),
+                    lambda: verify_covering(code, 3 * _BATCH, 1)):
+            calls = 0
+            with pytest.raises(RuntimeError, match="third block failed"):
+                run()
+            assert live == 0
+            assert blas_get() == 2
+            assert covering_module._lock.acquire(blocking=False)
+            covering_module._lock.release()
 
 
 class TestVerifyCovering:

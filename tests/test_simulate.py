@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from quadsig.analysis import GaussianPair, id_rate
-from quadsig.covering import build_covering
+from quadsig.covering import _BATCH, build_covering
 from quadsig.errors import DegenerateDataError, PreconditionError
 from quadsig.scheme import SchemeConfig, assign_many, plan_scheme, query_many
 from quadsig.simulate import (
     SHARD_SIZE,
     SourceSpec,
-    _openblas_threads,
     _run_sharded,
     _threads,
     audit_admissibility,
@@ -128,23 +127,6 @@ class TestShardThreads:
         monkeypatch.setenv("QUADSIG_THREADS", "3")
         assert _threads() == 3
 
-    @pytest.fixture
-    def blas_get(self):
-        """OpenBLAS's thread-count getter, with the count set to 2 for the
-        test and put back after it."""
-        blas = _openblas_threads()
-        if blas is None:
-            pytest.skip("numpy bundles no OpenBLAS with a thread setter")
-        get, put = blas
-        before = get()
-        put(2)
-        try:
-            if get() != 2:
-                pytest.skip("OpenBLAS cannot run two threads here")
-            yield get
-        finally:
-            put(before)
-
     def test_blas_pinned_in_pool_and_restored(self, blas_get, monkeypatch):
         seen = []
 
@@ -170,18 +152,26 @@ class TestShardThreads:
 
     def test_overlapping_callers_restore_blas(self, blas_get, monkeypatch):
         # more callers than cores, switching threads as often as possible:
-        # a lost update of the pool's run count would leave BLAS pinned
+        # a lost update of the pool's run count would leave BLAS pinned.  The
+        # covering builds pipeline their draws on the same pool.
+        monkeypatch.setenv("QUADSIG_THREADS", "1")
+        serial = build_covering(4, 1.0, 0.6, 42, 2 * _BATCH + 7).centers
         monkeypatch.setenv("QUADSIG_THREADS", "2")
-        results = []
+        results, builds = [], []
 
         def caller():
             for _ in range(25):
                 results.append(_run_sharded(3 * SHARD_SIZE, 1, lambda r, c: (c,)))
 
+        def builder():
+            for _ in range(3):
+                builds.append(build_covering(4, 1.0, 0.6, 42, 2 * _BATCH + 7).centers)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             callers = [threading.Thread(target=caller) for _ in range(4)]
+            callers += [threading.Thread(target=builder) for _ in range(2)]
             for t in callers:
                 t.start()
             for t in callers:
@@ -190,6 +180,8 @@ class TestShardThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert results == [(3 * SHARD_SIZE,)] * 100
+        assert len(builds) == 6
+        assert all(np.array_equal(b, serial) for b in builds)
         assert blas_get() == 2
 
     def test_concurrency_is_threads_capped_by_shards(self, monkeypatch):
