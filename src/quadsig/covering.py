@@ -29,17 +29,18 @@ center too.  Only the samples the screen leaves open, which are rare, are
 decided by the float64 product, so every decision is the float64 one.
 
 Build and verify draw their samples in blocks of _BATCH // 2 rows
-(`_UnitBlocks`).  With more than one pool thread
+(`_unit_blocks`).  With more than one pool thread
 (QUADSIG_THREADS, default the usable CPUs), the next block is drawn on the
 shard pool while the caller screens this one.  As for the Monte Carlo
 shards, the run holds the pool's lock and keeps OpenBLAS at one thread
-(`_PinnedPool`), so the draw and BLAS do not compete for the cores.  One
+(`_pinned_pool`), so the draw and BLAS do not compete for the cores.  One
 draw is in flight at a time, so the stream order, and with it every center
 and covered count, is the serial one at any thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -328,38 +329,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-class _PinnedPool:
-    """`with _PinnedPool(threads) as pool:` runs the block as the one pooled
+@contextlib.contextmanager
+def _pinned_pool(threads: int):
+    """`with _pinned_pool(threads) as pool:` runs the block as the one pooled
     run, on an executor of `threads` threads, with OpenBLAS held at one
     thread so that pool threads and BLAS threads do not compete for the
     cores.  The exit restores BLAS's thread count and releases the lock,
     also when the block raises.  The lock is not reentrant, so work running
     on the pool must not start a pooled run of its own."""
-
-    def __init__(self, threads: int):
-        self.threads = threads
-
-    def __enter__(self) -> ThreadPoolExecutor:
-        global _pool
-        self._held = _lock
-        self._held.acquire()
+    global _pool
+    with _lock:
+        if _pool is None or _pool[0] != threads:
+            # the old executor's idle threads exit once it is unreferenced
+            _pool = (threads, ThreadPoolExecutor(threads, "quadsig-shard"))
+        get, put = _openblas_threads() or (lambda: 0, lambda count: None)
+        saved = get()
+        put(1)
         try:
-            if _pool is None or _pool[0] != self.threads:
-                # the old executor's idle threads exit once it is unreferenced
-                _pool = (self.threads, ThreadPoolExecutor(self.threads, "quadsig-shard"))
-            get, self._put = _openblas_threads() or (lambda: 0, lambda count: None)
-            self._saved = get()
-            self._put(1)
-        except BaseException:
-            self._held.release()
-            raise
-        return _pool[1]
-
-    def __exit__(self, *exc) -> None:
-        try:
-            self._put(self._saved)
+            yield _pool[1]
         finally:
-            self._held.release()
+            put(saved)
 
 
 def _fill_units(rng, buf) -> np.ndarray:
@@ -373,10 +362,11 @@ def _fill_units(rng, buf) -> np.ndarray:
     return buf
 
 
-class _UnitBlocks:
-    """The uniform unit samples of rng's stream, `total` in all (None: no
-    end), in blocks of at most _BATCH // 2 rows:
-    `with _UnitBlocks(rng, n, total) as blocks: for block in blocks: ...`
+@contextlib.contextmanager
+def _unit_blocks(rng, n: int, total=math.inf):
+    """The uniform unit samples of rng's stream, `total` in all, in blocks
+    of at most _BATCH // 2 rows:
+    `with _unit_blocks(rng, n, total) as blocks: for block in blocks: ...`
 
     With more than one pool thread and more than one block, the next block
     is drawn on the pool while the caller works on this one.  Only one draw
@@ -389,58 +379,33 @@ class _UnitBlocks:
     long-lived buffers used in turn raised perfbench sim_basic's peak RSS by
     about 6 MB, through the heap layout that the set-up builds left behind.
     """
+    rows = int(min(_BATCH // 2, total))
 
-    def __init__(self, rng, n: int, total: int | None = None):
-        self._rng = rng
-        self._left = math.inf if total is None else total
-        self._shape = (int(min(_BATCH // 2, self._left)), n)
-        threads = _threads()
-        pooled = threads > 1 and self._left > self._shape[0]
-        self._pinned = _PinnedPool(threads) if pooled else None
-        self._pool = self._next = None
+    def arrays():
+        left = total
+        while left > 0:
+            yield np.empty((int(min(rows, left)), n))
+            left -= rows
 
-    def __enter__(self) -> _UnitBlocks:
-        if self._pinned is not None:
-            self._pool = self._pinned.__enter__()
+    def drawn_ahead(pool):
+        bufs = arrays()
+        draw = pool.submit(_fill_units, rng, next(bufs))
         try:
-            self._next = self._claim()
-        except BaseException:
-            self.__exit__(None, None, None)
-            raise
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is None:
-            return
-        try:
-            if self._next is not None:
-                self._next.exception()  # waits: the pooled run ends with its last draw
+            while draw is not None:
+                block = draw.result()
+                buf = next(bufs, None)
+                draw = None if buf is None else pool.submit(_fill_units, rng, buf)
+                yield block
         finally:
-            self._pinned.__exit__(*exc)
+            if draw is not None:
+                draw.exception()  # waits: the pooled run ends with its last draw
 
-    def _claim(self):
-        """The next block's array, or its draw on the pool; None past the end."""
-        rows = int(min(self._shape[0], self._left))
-        if rows == 0:
-            return None
-        buf = np.empty((rows, self._shape[1]))
-        self._left -= rows
-        if self._pool is None:
-            return buf
-        return self._pool.submit(_fill_units, self._rng, buf)
-
-    def __iter__(self) -> _UnitBlocks:
-        return self
-
-    def __next__(self) -> np.ndarray:
-        if self._next is None:
-            raise StopIteration
-        if self._pool is None:
-            block = _fill_units(self._rng, self._next)
-        else:
-            block = self._next.result()
-        self._next = self._claim()
-        return block
+    threads = _threads()
+    if threads == 1 or total <= rows:
+        yield (_fill_units(rng, buf) for buf in arrays())
+        return
+    with _pinned_pool(threads) as pool, contextlib.closing(drawn_ahead(pool)) as blocks:
+        yield blocks
 
 
 def build_covering(
@@ -464,7 +429,7 @@ def build_covering(
     m = 0
     drawn = 0  # stream index of the block's first sample
     last = -1  # stream index of the newest center; every later sample is covered
-    with _UnitBlocks(rng, n) as blocks:
+    with _unit_blocks(rng, n) as blocks:
         for block in blocks:
             covered = _covered(units, m, block, cos_thr)
             start = m
@@ -493,7 +458,7 @@ def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringRepo
     seed = _check_count(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     covered = 0
-    with _UnitBlocks(rng, code.n, samples) as blocks:
+    with _unit_blocks(rng, code.n, samples) as blocks:
         for block in blocks:
             covered += int(_covered(code._units, code.size, block, code.cos_theta0).sum())
     return CoveringReport(

@@ -45,7 +45,7 @@ class CapSpec:
 
     def __post_init__(self):
         axis = _check_vector(self.axis, "axis")
-        if np.linalg.norm(axis) <= 0.0:
+        if not axis.any():
             raise ValueError("cap axis must be nonzero")
         object.__setattr__(self, "axis", axis)
         _check_real(self.half_angle, "half_angle", 0.0, math.pi, "[]")
@@ -54,8 +54,10 @@ class CapSpec:
 
     def contains(self, y) -> bool:
         y = _check_vector(y, "y")
-        r = np.linalg.norm(y)
-        if not self.inner_radius <= r <= self.outer_radius:
+        _, r, e = _scaled(y)
+        with np.errstate(over="ignore"):  # a radius too large for y's frame reads inf
+            inner, outer = np.ldexp([self.inner_radius, self.outer_radius], -e)
+        if not inner <= r <= outer:
             return False
         return angle_between(y, self.axis) <= self.half_angle
 
@@ -83,14 +85,25 @@ class ExpansionAngle:
     acute: bool
 
 
+def _scaled(x) -> tuple[np.ndarray, float, int]:
+    """(x 2^-e, its norm, e) for the e that puts x's largest |coordinate| in
+    [1/2, 1) (e = 0 for a zero x).  Power-of-two scaling is exact and the
+    scaled norm neither overflows nor vanishes: a ratio of scaled dot
+    products and norms has the bits of the unscaled ratio wherever that one
+    is computed in the normal double range, and is right where it is not."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    x = np.ldexp(x, -e)
+    return x, float(np.linalg.norm(x)), e
+
+
 def angle_between(x, y) -> float:
     """Angle arccos(<x,y>/(|x||y|)) in [0, pi] between two nonzero vectors."""
     x = _check_vector(x, "x")
     y = _check_vector(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
+    x, nx, _ = _scaled(x)
+    y, ny, _ = _scaled(y)
     if nx == 0.0 or ny == 0.0:
         raise ValueError("angle undefined for zero vector")
     c = float(np.dot(x, y) / (nx * ny))
@@ -197,17 +210,28 @@ def _cap_distances(Y, axes, half_angle, inner, outer) -> np.ndarray:
 
 def min_distance_to_thick_cap(y, cap: CapSpec) -> float:
     """Minimum Euclidean distance from a nonzero y to a thick cap with
-    half-angle <= pi/2."""
+    half-angle <= pi/2.
+
+    Where |y|^2 or the outer radius squared would leave the normal double
+    range, y and both radii are first scaled by the power of two that puts
+    the larger of y's largest |coordinate| and the outer radius near 1, and
+    the distance is scaled back: the scaling is exact.
+    """
     if cap.half_angle > math.pi / 2:
         raise ValueError("half_angle above pi/2 is not supported")
     y = _check_vector(y, "y")
     if y.shape != cap.axis.shape:
         raise ValueError(f"dimension mismatch: {y.size} vs {cap.axis.size}")
-    if np.linalg.norm(y) == 0.0:
+    top = float(np.abs(y).max())
+    if top == 0.0:
         raise ValueError("y must be nonzero")
-    axis = cap.axis / np.linalg.norm(cap.axis)
-    return float(
-        _cap_distances(
-            y[None, :], axis[None, :], cap.half_angle, cap.inner_radius, cap.outer_radius
-        )[0]
-    )
+    sizes = [top, cap.outer_radius] if cap.outer_radius > 0.0 else [top]
+    in_range = 2.0**-500 < min(sizes) and max(sizes) < 2.0**500
+    e = 0 if in_range else math.frexp(max(sizes))[1]
+    axis, norm, _ = _scaled(cap.axis)
+    d = _cap_distances(
+        np.ldexp(y, -e)[None, :], (axis / norm)[None, :], cap.half_angle,
+        math.ldexp(cap.inner_radius, -e), math.ldexp(cap.outer_radius, -e),
+    )[0]
+    with np.errstate(over="ignore"):  # a distance past the double range is inf
+        return float(np.ldexp(d, e))

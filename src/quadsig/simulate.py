@@ -8,7 +8,7 @@ are reproducible bit for bit regardless of how many worker threads run them.
 QUADSIG_THREADS caps shard parallelism (default: the usable CPUs).  While more
 than one shard thread runs, numpy's OpenBLAS is held at one thread, so shard
 threads and BLAS threads do not compete for the cores.  The pool, its lock and
-the BLAS pin are covering.py's `_PinnedPool`, which the covering build and
+the BLAS pin are covering.py's `_pinned_pool`, which the covering build and
 verify also use to draw their next sample block; pooled runs started from
 several threads, sharded or not, take turns, one at a time.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import GaussianPair, _check_rate
-from .covering import _BATCH, CoveringCode, _PinnedPool, _threads, build_covering
+from .covering import _BATCH, CoveringCode, _pinned_pool, _threads, build_covering
 from .errors import DegenerateDataError, PreconditionError, _check_count, _check_real
 from .scheme import SchemeConfig, assign_many, plan_scheme, query_many
 
@@ -149,7 +149,7 @@ def _run_sharded(trials: int, seed: int, worker):
     if min(threads, num_shards) == 1:
         results = [run(i) for i in range(num_shards)]
     else:
-        with _PinnedPool(threads) as pool:
+        with _pinned_pool(threads) as pool:
             futures = [pool.submit(run, i) for i in range(num_shards)]
             wait(futures)
             results = [f.result() for f in futures]

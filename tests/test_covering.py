@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -213,14 +215,16 @@ class TestSamplePipeline:
     def test_failure_midway_waits_restores_blas_and_releases_lock(
         self, blas_get, failing, monkeypatch
     ):
-        # the screen or the draw of the third block raises; the exit must wait
-        # for the draw still in flight before it gives the pool back
-        calls = live = 0
+        # the screen or the draw of the third block raises, or the build's
+        # audit ends in the first block; the exit must wait for the draw
+        # still in flight before it gives the pool back
+        calls = live = fills = 0
         draw = covering_module._fill_units
 
         def slow_fill(*args):
-            nonlocal live
+            nonlocal live, fills
             live += 1
+            fills += 1
             time.sleep(0.05)
             try:
                 return draw(*args)
@@ -238,14 +242,27 @@ class TestSamplePipeline:
             return real(*args)
 
         monkeypatch.setattr(covering_module, failing, flaky)
+        in_flight = []  # draws running when a build's pipeline has ended
+
+        def code_after_pipeline(*args, **kwargs):
+            in_flight.append(live)
+            return CoveringCode(*args, **kwargs)
+
+        monkeypatch.setattr(covering_module, "CoveringCode", code_after_pipeline)
         monkeypatch.setenv("QUADSIG_THREADS", "2")
         code = make_code(4, 1.0, 0.6, np.eye(4))
-        for run in (lambda: build_covering(4, 1.0, 0.6, 42, 2 * _BATCH + 7),
-                    lambda: verify_covering(code, 3 * _BATCH, 1)):
-            calls = 0
-            with pytest.raises(RuntimeError, match="third block failed"):
+        fails = functools.partial(pytest.raises, RuntimeError, match="third block failed")
+        for run, ends in ((lambda: build_covering(4, 1.0, 0.6, 42, 2 * _BATCH + 7), fails),
+                          (lambda: verify_covering(code, 3 * _BATCH, 1), fails),
+                          (lambda: build_covering(4, 1.0, 0.6, 42, 1), contextlib.nullcontext)):
+            calls = fills = 0
+            with ends():
                 run()
             assert live == 0
+            if ends is contextlib.nullcontext:
+                # the second block was drawn, never taken, and its draw was
+                # done before the build left its `with` block
+                assert fills == 2 and in_flight == [0]
             assert blas_get() == 2
             assert covering_module._lock.acquire(blocking=False)
             covering_module._lock.release()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -58,6 +59,16 @@ class TestAngleBetween:
         x = np.full(64, 1.0) / 8.0
         y = x * (1.0 + 1e-16)
         assert angle_between(x, y) >= 0.0
+
+    def test_power_of_two_scaling_keeps_the_bits(self):
+        # scaling is exact, also where |x|^2 or <x, y> leaves the double range
+        # (once pi for parallel vectors of 1e200, and a refusal at 1e-200)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x, y = rng.standard_normal((2, 4))
+            want = angle_between(x, y)
+            for j, k in itertools.product((-600, 0, 600), repeat=2):
+                assert angle_between(np.ldexp(x, j), np.ldexp(y, k)) == want
 
     def test_triangle_inequality_for_angles(self):
         rng = np.random.default_rng(7)
@@ -352,3 +363,33 @@ class TestMinDistanceToThickCap:
         y = np.array([-2.0, 0.0, 0.0])
         # nearest point is the origin corner of the sector
         assert min_distance_to_thick_cap(y, cap) == pytest.approx(2.0, abs=1e-12)
+
+    @staticmethod
+    def scaled(cap, j):
+        return CapSpec(np.ldexp(cap.axis, j), cap.half_angle,
+                       math.ldexp(cap.inner_radius, j), math.ldexp(cap.outer_radius, j))
+
+    def test_membership_is_scale_free(self):
+        # |y| once overflowed to inf (no point of norm 2^600 was inside) and
+        # underflowed to 0 (a nonzero axis or y of norm 2^-600 was refused)
+        rng = np.random.default_rng(5)
+        cap = CapSpec(np.array([1.0, 0.5, -0.25]), 0.7, 1.0, 2.0)
+        seen = set()
+        for _ in range(200):
+            y = rng.standard_normal(3) * rng.uniform(0.5, 2.5)
+            want = cap.contains(y)
+            seen.add(want)
+            for j in (600, -600):
+                assert self.scaled(cap, j).contains(np.ldexp(y, j)) == want
+        assert seen == {False, True}
+
+    def test_distance_scales_exactly(self):
+        # once NaN at norm 2^600, and a refusal of a nonzero y at 2^-600
+        rng = np.random.default_rng(8)
+        cap = CapSpec(np.array([1.0, 0.5, -0.25]), 0.7, 1.0, 2.0)
+        for _ in range(100):
+            y = rng.standard_normal(3) * rng.uniform(0.5, 4.0)
+            want = min_distance_to_thick_cap(y, cap)
+            for j in (600, -600):
+                got = min_distance_to_thick_cap(np.ldexp(y, j), self.scaled(cap, j))
+                assert math.isfinite(got) and got == math.ldexp(want, j)
