@@ -35,7 +35,8 @@ class CapSpec:
     [inner_radius, outer_radius].
 
     inner_radius == 0 is allowed so the innermost amplitude shell (a cone
-    sector reaching the origin) is representable.
+    sector reaching the origin) is representable; the origin, the sector's
+    apex, is then in the cap.
     """
 
     axis: np.ndarray
@@ -59,7 +60,8 @@ class CapSpec:
             inner, outer = np.ldexp([self.inner_radius, self.outer_radius], -e)
         if not inner <= r <= outer:
             return False
-        return angle_between(y, self.axis) <= self.half_angle
+        # a zero y got here only with inner radius 0: the cone sector's apex
+        return r == 0.0 or angle_between(y, self.axis) <= self.half_angle
 
 
 @dataclass(frozen=True)

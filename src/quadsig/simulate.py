@@ -11,6 +11,13 @@ threads and BLAS threads do not compete for the cores.  The pool, its lock and
 the BLAS pin are covering.py's `_pinned_pool`, which the covering build and
 verify also use to draw their next sample block; pooled runs started from
 several threads, sharded or not, take turns, one at a time.
+
+A shard of an estimate or audit makes two passes over its rows in _BATCH
+blocks: the first draws X and assigns it, the second draws Y (or the audit's
+U, then its radii) and queries.  Between them a block keeps only the rows
+that still need a y, unless most of its rows do (`_live_blocks`).  Every row
+is drawn in the stream order of a whole draw, so the counts are those of a
+shard that holds X and Y whole.
 """
 
 from __future__ import annotations
@@ -102,24 +109,52 @@ def _estimate(hits: int, trials: int, false_negatives: int = 0) -> TrialEstimate
     return TrialEstimate(p, trials, lo, hi, false_negatives)
 
 
-def _maybe_and_false_negatives(config, code, X, y_rows) -> tuple[int, int]:
-    """Number of pairs (rows of X, Y) that get "maybe", and number of d-similar
-    pairs that get "no" (false negatives, which must never occur).
+def _live_blocks(config, code, count, x_rows) -> list:
+    """First pass over a shard of `count` pairs: draw X a _BATCH block at a
+    time, x_rows(rows) giving its next `rows` rows, and assign each block.
 
-    X is processed in blocks of _BATCH rows; y_rows(lo, hi) returns rows lo:hi
-    of Y, called once per block in order, so Y need never exist whole.  d(x, y)
-    is computed only for pairs answering "no", the only possible false
-    negatives.
+    Returns one (rows, keep, X, centers, shells, erased) per block: `rows` is
+    the block's length and `keep` selects the rows kept, whose X, centers,
+    shells and erased flags the other four hold.  An erased row answers
+    "maybe" whatever its y, so a block of which at most half is live keeps
+    its live rows only.  Otherwise the copy would cost more than it frees,
+    and `keep` is a slice of every row, which keeps the block as drawn.
     """
-    hits = fn = 0
-    for lo in range(0, X.shape[0], _BATCH):
-        Xb = X[lo : lo + _BATCH]
-        Yb = y_rows(lo, lo + Xb.shape[0])
-        ci, si, er = assign_many(config, code, Xb)
-        no = np.flatnonzero(~query_many(config, code, ci, si, er, Yb))
-        diff = Xb[no] - Yb[no]
-        fn += int((np.einsum("ij,ij->i", diff, diff) / config.n <= config.d).sum())
-        hits += Xb.shape[0] - no.size
+    blocks = []
+    for lo in range(0, count, _BATCH):
+        X = x_rows(min(_BATCH, count - lo))
+        centers, shells, erased = assign_many(config, code, X)
+        live = np.flatnonzero(~erased)
+        keep = live if 2 * live.size <= X.shape[0] else slice(None)
+        blocks.append(
+            (X.shape[0], keep, X[keep], centers[keep], shells[keep], erased[keep])
+        )
+    return blocks
+
+
+def _maybe_and_false_negatives(config, code, count, blocks, y_rows) -> tuple[int, int]:
+    """Second pass: the number of the shard's `count` pairs that get "maybe",
+    and the number of d-similar pairs that get "no" (false negatives, which
+    must never occur).
+
+    `blocks` is `_live_blocks`'s result.  y_rows(lo, rows, keep, X) returns
+    the query points of the kept rows of the block of `rows` pairs from pair
+    lo, called once per block in order, so Y need never exist whole; this
+    pass may overwrite them.  Each block is taken out of `blocks` as it is
+    queried, so that its memory can be reused.  d(x, y) is computed for the
+    kept rows only, and it counts only where a pair answers "no", the only
+    possible false negative.
+    """
+    hits, fn = count, 0
+    for lo in range(0, count, _BATCH):
+        rows, keep, X, centers, shells, erased = blocks.pop(0)
+        Y = y_rows(lo, rows, keep, X)
+        no = ~query_many(config, code, centers, shells, erased, Y)
+        # y - x, in Y's memory: it has the bits of -(x - y), so the same squares
+        Y -= X
+        dxy = np.einsum("ij,ij->i", Y, Y) / config.n
+        fn += int(np.count_nonzero(dxy[no] <= config.d))
+        hits -= int(np.count_nonzero(no))
     return hits, fn
 
 
@@ -171,10 +206,14 @@ def estimate_maybe_probability(
     """
 
     def worker(rng: np.random.Generator, count: int):
-        # drawing Y block by block, after X, yields the numbers of one draw
-        X = spec_x.draw(rng, (count, config.n))
+        # drawing X, then Y, block by block yields the numbers of one draw
+        # of each; every Y row is drawn, so the stream is the whole-draw one
+        blocks = _live_blocks(
+            config, code, count, lambda rows: spec_x.draw(rng, (rows, config.n))
+        )
         return _maybe_and_false_negatives(
-            config, code, X, lambda lo, hi: spec_y.draw(rng, (hi - lo, config.n))
+            config, code, count, blocks,
+            lambda lo, rows, keep, X: spec_y.draw(rng, (rows, config.n))[keep],
         )
 
     hits, fn = _run_sharded(trials, seed, worker)
@@ -194,9 +233,14 @@ def estimate_similarity_probability(
     _check_real(d, "d", 0.0, ends="[)")
 
     def worker(rng: np.random.Generator, count: int):
-        diff = spec_x.draw(rng, (count, n)) - spec_y.draw(rng, (count, n))
-        dxy = np.einsum("ij,ij->i", diff, diff) / n
-        return (int((dxy <= d).sum()),)
+        X = spec_x.draw(rng, (count, n))
+        hits = 0
+        for lo in range(0, count, _BATCH):
+            # y - x, in place: it has the bits of -(x - y), so the same squares
+            diff = spec_y.draw(rng, (min(_BATCH, count - lo), n))
+            diff -= X[lo : lo + _BATCH]
+            hits += int((np.einsum("ij,ij->i", diff, diff) / n <= d).sum())
+        return (hits,)
 
     (hits,) = _run_sharded(trials, seed, worker)
     return _estimate(hits, trials)
@@ -221,9 +265,16 @@ def audit_admissibility(
     _check_real(boundary_fraction, "boundary_fraction", 0.0, 1.0, "[]")
 
     def worker(rng: np.random.Generator, count: int):
-        X = spec_x.draw(rng, (count, config.n))
-        U = rng.standard_normal((count, config.n))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        # the stream is all of X, then all of U, then the radii, as in a
+        # whole draw of each; only the kept rows of U are held
+        blocks = _live_blocks(
+            config, code, count, lambda rows: spec_x.draw(rng, (rows, config.n))
+        )
+        U = []
+        for rows, keep, *_ in blocks:
+            u = rng.standard_normal((rows, config.n))[keep]
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            U.append(u)
         radius = math.sqrt(config.n * config.d) * rng.uniform(0.0, 1.0, count) ** (
             1.0 / config.n
         )
@@ -231,9 +282,15 @@ def audit_admissibility(
         edge = math.sqrt(config.n * config.d)
         radius[: nb // 2] = edge * (1.0 - 1e-9)
         radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
-        return _maybe_and_false_negatives(
-            config, code, X, lambda lo, hi: X[lo:hi] + radius[lo:hi, None] * U[lo:hi]
-        )
+
+        def y_rows(lo, rows, keep, X):
+            # y = x + r u, formed in u's memory, which is needed no more
+            u = U.pop(0)
+            u *= radius[lo : lo + rows][keep, None]
+            u += X
+            return u
+
+        return _maybe_and_false_negatives(config, code, count, blocks, y_rows)
 
     hits, fn = _run_sharded(trials, seed, worker)
     return _estimate(hits, trials, fn)

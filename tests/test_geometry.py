@@ -364,6 +364,25 @@ class TestMinDistanceToThickCap:
         # nearest point is the origin corner of the sector
         assert min_distance_to_thick_cap(y, cap) == pytest.approx(2.0, abs=1e-12)
 
+    def test_origin_in_cap_only_with_inner_radius_zero(self):
+        # the origin is the apex of an inner-radius-0 sector, where the angle
+        # to the axis is undefined
+        axis = np.array([1.0, 0.0, 0.0])
+        assert CapSpec(axis, 0.5, 0.0, 1.0).contains(np.zeros(3))
+        assert not CapSpec(axis, 0.5, 0.5, 1.0).contains(np.zeros(3))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: _cap_distances squares |y|, which underflows "
+        "to 0 for a y below about 2^-511 of the outer radius; item 1's "
+        "hypot-form distance replaces it",
+    )
+    def test_tiny_y_outside_the_cap_is_not_at_distance_zero(self):
+        cap = CapSpec(np.array([1.0, 0.0, 0.0]), 0.5, 0.0, 1.0)
+        y = np.array([1e-170, 1e-170, 0.0])
+        assert not cap.contains(y)
+        assert min_distance_to_thick_cap(y, cap) > 0.0
+
     @staticmethod
     def scaled(cap, j):
         return CapSpec(np.ldexp(cap.axis, j), cap.half_angle,

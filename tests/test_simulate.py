@@ -4,10 +4,12 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quadsig import simulate
 from quadsig.analysis import GaussianPair, id_rate
 from quadsig.covering import _BATCH, build_covering
 from quadsig.errors import DegenerateDataError, PreconditionError
@@ -319,6 +321,50 @@ class TestAuditAdmissibility:
                 # constructed pairs are similar, so nearly everything is maybe
                 assert est.p_hat > 0.999
 
+    def test_matches_whole_shard_reference(self, code8, monkeypatch):
+        # a full shard, then a partial one that is a single partial block;
+        # the reference draws each shard's X, U and radii whole.  Nearly
+        # every audited pair answers maybe, so the query points of the live
+        # rows are compared too, bit for bit, with the shards run in order.
+        monkeypatch.setenv("QUADSIG_THREADS", "1")
+        queried = []
+
+        def recording_query_many(config, code, ci, si, er, Y):
+            queried.append(Y[~er])
+            return query_many(config, code, ci, si, er, Y)
+
+        monkeypatch.setattr(simulate, "query_many", recording_query_many)
+        trials, n, d = SHARD_SIZE + 5001, 8, 0.4
+        edge = math.sqrt(n * d)
+        for mode, eta in (("basic", 0.15), ("shape_gain", 0.1)):
+            config = SchemeConfig(n=n, d=d, sigma_x2=1.0, eta=eta, mode=mode)
+            for family in ("gaussian", "uniform", "laplace"):
+                s = SourceSpec(family, 1.0)
+                queried.clear()
+                est = audit_admissibility(config, code8, s, trials, 43)
+                hits = fn = 0
+                live_points = []
+                for i, child in enumerate(np.random.SeedSequence(43).spawn(2)):
+                    rng = np.random.default_rng(child)
+                    count = min(SHARD_SIZE, trials - i * SHARD_SIZE)
+                    X = s.draw(rng, (count, n))
+                    U = rng.standard_normal((count, n))
+                    U /= np.linalg.norm(U, axis=1, keepdims=True)
+                    radius = edge * rng.uniform(0.0, 1.0, count) ** (1.0 / n)
+                    nb = max(2, int(count * 0.02))
+                    radius[: nb // 2] = edge * (1.0 - 1e-9)
+                    radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
+                    Y = X + radius[:, None] * U
+                    ci, si, er = assign_many(config, code8, X)
+                    maybe = query_many(config, code8, ci, si, er, Y)
+                    dxy = ((X - Y) ** 2).sum(axis=1) / n
+                    hits += int(maybe.sum())
+                    fn += int((~maybe & (dxy <= d)).sum())
+                    live_points.append(Y[~er])
+                assert est.p_hat == hits / trials
+                assert est.false_negative_count == fn
+                assert np.array_equal(np.concatenate(queried), np.concatenate(live_points))
+
     def test_reproducible(self, basic8, code8, monkeypatch):
         # three shards, so two shard threads run them in two lanes
         g = SourceSpec("gaussian", 1.0)
@@ -328,6 +374,47 @@ class TestAuditAdmissibility:
             monkeypatch.setenv("QUADSIG_THREADS", threads)
             b = audit_admissibility(basic8, code8, g, 70_000, 31)
             assert a == b
+
+
+def _traced_peak_mib(run) -> float:
+    """Peak memory traced while run() runs, numpy's buffers included, above
+    what was traced when it began, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_shard_peak_memory_at_n40(code40, monkeypatch):
+    # one 32,768-pair shard on one thread; with X (and the audit's U) held
+    # whole, the five peaks read 15.4, 30.5, 23.1, 30.8 and 20.0 MiB.  Most
+    # basic-mode rows are erased, so a shard keeps only the live ones.
+    monkeypatch.setenv("QUADSIG_THREADS", "1")
+    pair = GaussianPair(1.0, 1.0)
+    rate = id_rate(pair, 0.02) + 0.5
+    peaks = {}
+    for mode, family in (("basic", "gaussian"), ("shape_gain", "laplace")):
+        plan = plan_scheme(pair, 0.02, rate, 40, 0.1, mode=mode)
+        assert plan.d0 == code40.d0
+        s = SourceSpec(family, 1.0)
+        peaks[mode, "estimate"] = _traced_peak_mib(
+            lambda: estimate_maybe_probability(plan.config, code40, s, s, SHARD_SIZE, 3)
+        )
+        peaks[mode, "audit"] = _traced_peak_mib(
+            lambda: audit_admissibility(plan.config, code40, s, SHARD_SIZE, 3)
+        )
+    g = SourceSpec("gaussian", 1.0)
+    peaks["similarity"] = _traced_peak_mib(
+        lambda: estimate_similarity_probability(g, g, 1.5, 40, SHARD_SIZE, 3)
+    )
+    assert peaks["basic", "estimate"] < 8.0, peaks
+    assert peaks["basic", "audit"] < 12.0, peaks
+    assert peaks["shape_gain", "estimate"] <= 23.1, peaks
+    assert peaks["shape_gain", "audit"] <= 30.8, peaks
+    assert peaks["similarity"] < 20.0, peaks
 
 
 class TestFitExponent:
