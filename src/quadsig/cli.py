@@ -71,7 +71,11 @@ def _cmd_rate(args) -> int:
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop within 1e-9 step; none if a bound or step is NaN."""
+    """start, start + step, ... up to stop within 1e-9 step; none if a bound or
+    step is NaN.  An infinite one, which would sweep without end, is refused."""
+    for flag, value in (("--start", start), ("--stop", stop), ("--step", step)):
+        if math.isinf(value):
+            raise ValueError(f"{flag} must be finite, not {value}")
     if step <= 0.0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
     values = []

@@ -29,13 +29,11 @@ center too.  Only the samples the screen leaves open, which are rare, are
 decided by the float64 product, so every decision is the float64 one.
 
 Build and verify draw their samples in blocks of _BATCH // 2 rows
-(`_unit_blocks`).  With more than one pool thread
-(QUADSIG_THREADS, default the usable CPUs), the next block is drawn on the
-shard pool while the caller screens this one.  As for the Monte Carlo
-shards, the run holds the pool's lock and keeps OpenBLAS at one thread
-(`_pinned_pool`), so the draw and BLAS do not compete for the cores.  One
-draw is in flight at a time, so the stream order, and with it every center
-and covered count, is the serial one at any thread count.
+(`_unit_blocks`).  With more than one pool thread (QUADSIG_THREADS, default
+the usable CPUs), the next block is drawn on the shard pool, through
+`_pooled` as the Monte Carlo shards are, while the caller screens this one.
+One draw is in flight at a time, so the stream order, and with it every
+center and covered count, is the serial one at any thread count.
 """
 
 from __future__ import annotations
@@ -44,11 +42,12 @@ import contextlib
 import ctypes
 import functools
 import glob
+import itertools
 import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,24 +329,42 @@ if hasattr(os, "register_at_fork"):
 
 
 @contextlib.contextmanager
-def _pinned_pool(threads: int):
-    """`with _pinned_pool(threads) as pool:` runs the block as the one pooled
-    run, on an executor of `threads` threads, with OpenBLAS held at one
-    thread so that pool threads and BLAS threads do not compete for the
-    cores.  The exit restores BLAS's thread count and releases the lock,
-    also when the block raises.  The lock is not reentrant, so work running
-    on the pool must not start a pooled run of its own."""
+def _pooled(fn, args, jobs, ahead=None):
+    """`with _pooled(fn, args, jobs, ahead) as results:` gives fn(a) for each
+    item a of args, in order.  With one pool thread, or `jobs` (the number
+    of calls) at most 1, that is a plain map on the caller's thread.
+    Otherwise the calls run as the one pooled run, with OpenBLAS held at one
+    thread so that pool and BLAS threads do not compete for the cores, and
+    at most `ahead` calls (all, for None) in flight.  The next item is taken and submitted on
+    the caller's thread after the previous result is taken, before that one
+    is given out.  The exit waits for every call in flight, restores BLAS's
+    thread count and releases the lock, also after an exception or a `break`.
+    The lock is not reentrant: work on the pool must not start a pooled run."""
     global _pool
+    threads = _threads()
+    if min(threads, jobs) <= 1:
+        yield map(fn, args)
+        return
     with _lock:
         if _pool is None or _pool[0] != threads:
             # the old executor's idle threads exit once it is unreferenced
             _pool = (threads, ThreadPoolExecutor(threads, "quadsig-shard"))
+        pool, args, flight = _pool[1], iter(args), []
         get, put = _openblas_threads() or (lambda: 0, lambda count: None)
         saved = get()
         put(1)
+
+        def results():
+            while flight:
+                result = flight.pop(0).result()
+                flight.extend(pool.submit(fn, a) for a in itertools.islice(args, 1))
+                yield result
+
         try:
-            yield _pool[1]
+            flight.extend(pool.submit(fn, a) for a in itertools.islice(args, ahead))
+            yield results()
         finally:
+            wait(flight)
             put(saved)
 
 
@@ -362,18 +379,15 @@ def _fill_units(rng, buf) -> np.ndarray:
     return buf
 
 
-@contextlib.contextmanager
 def _unit_blocks(rng, n: int, total=math.inf):
     """The uniform unit samples of rng's stream, `total` in all, in blocks
     of at most _BATCH // 2 rows:
     `with _unit_blocks(rng, n, total) as blocks: for block in blocks: ...`
 
     With more than one pool thread and more than one block, the next block
-    is drawn on the pool while the caller works on this one.  Only one draw
-    is in flight, submitted after the previous block was taken, so the
-    stream order is the serial one.  Otherwise each block is drawn when it
-    is taken, and BLAS is left alone.  The exit waits for a draw still in
-    flight before it releases the pool.
+    is drawn on the pool while the caller works on this one (`_pooled`).
+    Only one draw is in flight, submitted after the previous block was
+    taken, so the stream order is the serial one.
 
     Each block is a fresh array allocated on the caller's thread.  Two
     long-lived buffers used in turn raised perfbench sim_basic's peak RSS by
@@ -387,25 +401,7 @@ def _unit_blocks(rng, n: int, total=math.inf):
             yield np.empty((int(min(rows, left)), n))
             left -= rows
 
-    def drawn_ahead(pool):
-        bufs = arrays()
-        draw = pool.submit(_fill_units, rng, next(bufs))
-        try:
-            while draw is not None:
-                block = draw.result()
-                buf = next(bufs, None)
-                draw = None if buf is None else pool.submit(_fill_units, rng, buf)
-                yield block
-        finally:
-            if draw is not None:
-                draw.exception()  # waits: the pooled run ends with its last draw
-
-    threads = _threads()
-    if threads == 1 or total <= rows:
-        yield (_fill_units(rng, buf) for buf in arrays())
-        return
-    with _pinned_pool(threads) as pool, contextlib.closing(drawn_ahead(pool)) as blocks:
-        yield blocks
+    return _pooled(functools.partial(_fill_units, rng), arrays(), total / rows, ahead=1)
 
 
 def build_covering(

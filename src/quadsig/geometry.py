@@ -214,10 +214,13 @@ def min_distance_to_thick_cap(y, cap: CapSpec) -> float:
     """Minimum Euclidean distance from a nonzero y to a thick cap with
     half-angle <= pi/2.
 
-    Where |y|^2 or the outer radius squared would leave the normal double
-    range, y and both radii are first scaled by the power of two that puts
-    the larger of y's largest |coordinate| and the outer radius near 1, and
-    the distance is scaled back: the scaling is exact.
+    y and both radii are first scaled by the power of two that puts y's
+    largest |coordinate| in [1/2, 1), as `CapSpec.contains` does, and the
+    distance is scaled back: the scaling is exact, |y|^2 stays normal, and a
+    radius too large for that frame reads inf.  Only an inner radius of
+    2^500 |y| or more, whose square could overflow there, takes the frame of
+    the outer radius instead: y is then the origin to within 2^-500 of the
+    distance.
     """
     if cap.half_angle > math.pi / 2:
         raise ValueError("half_angle above pi/2 is not supported")
@@ -227,13 +230,12 @@ def min_distance_to_thick_cap(y, cap: CapSpec) -> float:
     top = float(np.abs(y).max())
     if top == 0.0:
         raise ValueError("y must be nonzero")
-    sizes = [top, cap.outer_radius] if cap.outer_radius > 0.0 else [top]
-    in_range = 2.0**-500 < min(sizes) and max(sizes) < 2.0**500
-    e = 0 if in_range else math.frexp(max(sizes))[1]
+    big = cap.inner_radius * 2.0**-500 >= top
+    e = math.frexp(cap.outer_radius if big else top)[1]
     axis, norm, _ = _scaled(cap.axis)
-    d = _cap_distances(
-        np.ldexp(y, -e)[None, :], (axis / norm)[None, :], cap.half_angle,
-        math.ldexp(cap.inner_radius, -e), math.ldexp(cap.outer_radius, -e),
-    )[0]
     with np.errstate(over="ignore"):  # a distance past the double range is inf
+        inner, outer = np.ldexp([cap.inner_radius, cap.outer_radius], -e)
+        d = _cap_distances(
+            np.ldexp(y, -e)[None, :], (axis / norm)[None, :], cap.half_angle, inner, outer
+        )[0]
         return float(np.ldexp(d, e))

@@ -7,10 +7,10 @@ SeedSequence(seed).spawn(...)[i], and results merge by summation, so estimates
 are reproducible bit for bit regardless of how many worker threads run them.
 QUADSIG_THREADS caps shard parallelism (default: the usable CPUs).  While more
 than one shard thread runs, numpy's OpenBLAS is held at one thread, so shard
-threads and BLAS threads do not compete for the cores.  The pool, its lock and
-the BLAS pin are covering.py's `_pinned_pool`, which the covering build and
-verify also use to draw their next sample block; pooled runs started from
-several threads, sharded or not, take turns, one at a time.
+threads and BLAS threads do not compete for the cores.  Shards run through
+covering.py's `_pooled`, which holds the pool, its lock and the BLAS pin; the
+covering build and verify draw their next sample block through it too, and
+pooled runs started from several threads take turns, one at a time.
 
 A shard of an estimate or audit makes two passes over its rows in _BATCH
 blocks: the first draws X and assigns it, the second draws Y (or the audit's
@@ -23,13 +23,13 @@ shard that holds X and Y whole.
 from __future__ import annotations
 
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import GaussianPair, _check_rate
-from .covering import _BATCH, CoveringCode, _pinned_pool, _threads, build_covering
+# _threads is re-exported: benchmark harnesses read the thread count from here
+from .covering import _BATCH, CoveringCode, _pooled, _threads, build_covering
 from .errors import DegenerateDataError, PreconditionError, _check_count, _check_real
 from .scheme import SchemeConfig, assign_many, plan_scheme, query_many
 
@@ -180,15 +180,8 @@ def _run_sharded(trials: int, seed: int, worker):
     def run(i):
         return worker(np.random.default_rng(children[i]), sizes[i])
 
-    threads = _threads()
-    if min(threads, num_shards) == 1:
-        results = [run(i) for i in range(num_shards)]
-    else:
-        with _pinned_pool(threads) as pool:
-            futures = [pool.submit(run, i) for i in range(num_shards)]
-            wait(futures)
-            results = [f.result() for f in futures]
-    return tuple(int(sum(parts)) for parts in zip(*results))
+    with _pooled(run, range(num_shards), num_shards) as results:
+        return tuple(int(sum(parts)) for parts in zip(*results))
 
 
 def estimate_maybe_probability(

@@ -121,6 +121,18 @@ class TestSweep:
         assert rc == 2
         assert err == "error: empty sweep range\n"
 
+    @pytest.mark.parametrize(
+        "flag, start, stop, step",
+        [("--start", "-inf", "1.0", "0.1"), ("--stop", "0.5", "inf", "0.1"),
+         ("--step", "0.5", "1.0", "inf"), ("--start", "inf", "inf", "0.1")],
+    )
+    def test_infinite_range_is_usage_error(self, capsys, flag, start, stop, step):
+        # an infinite stop or start once swept without end
+        rc, _, err = run(capsys, "sweep", "--axis", "d", f"--start={start}",
+                         f"--stop={stop}", f"--step={step}")
+        assert rc == 2
+        assert err.startswith(f"error: {flag} must be finite")
+
     def test_empty_range_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "sweep", "--axis", "d", "--start", "1.0",
                          "--stop", "0.5", "--step", "0.1")

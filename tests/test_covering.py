@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -266,6 +267,44 @@ class TestSamplePipeline:
             assert blas_get() == 2
             assert covering_module._lock.acquire(blocking=False)
             covering_module._lock.release()
+
+    def test_one_draw_in_flight_overlaps_the_screen(self, monkeypatch):
+        # block k + 1's draw starts while block k is screened, and no two
+        # draws ever run at once, so the stream order is the serial one
+        lock = threading.Lock()
+        started = [threading.Event() for _ in range(4)]
+        live = peak = draws = screens = 0
+        draw, screen = covering_module._fill_units, covering_module._covered
+
+        def fill(*args):
+            nonlocal live, peak, draws
+            with lock:
+                live += 1
+                peak = max(peak, live)
+                started[draws].set()
+                draws += 1
+            time.sleep(0.02)
+            try:
+                return draw(*args)
+            finally:
+                with lock:
+                    live -= 1
+
+        def covered(*args):
+            nonlocal screens
+            k, screens = screens, screens + 1
+            if k + 1 < len(started):
+                assert started[k + 1].wait(timeout=5), f"draw {k + 1} waited for screen {k}"
+            return screen(*args)
+
+        code = make_code(4, 1.0, 0.6, np.eye(4))
+        monkeypatch.setenv("QUADSIG_THREADS", "1")
+        serial = verify_covering(code, 2 * _BATCH, 1)
+        monkeypatch.setattr(covering_module, "_fill_units", fill)
+        monkeypatch.setattr(covering_module, "_covered", covered)
+        monkeypatch.setenv("QUADSIG_THREADS", "2")
+        assert verify_covering(code, 2 * _BATCH, 1) == serial
+        assert (draws, screens, peak) == (4, 4, 1)
 
 
 class TestVerifyCovering:

@@ -371,12 +371,6 @@ class TestMinDistanceToThickCap:
         assert CapSpec(axis, 0.5, 0.0, 1.0).contains(np.zeros(3))
         assert not CapSpec(axis, 0.5, 0.5, 1.0).contains(np.zeros(3))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: _cap_distances squares |y|, which underflows "
-        "to 0 for a y below about 2^-511 of the outer radius; item 1's "
-        "hypot-form distance replaces it",
-    )
     def test_tiny_y_outside_the_cap_is_not_at_distance_zero(self):
         cap = CapSpec(np.array([1.0, 0.0, 0.0]), 0.5, 0.0, 1.0)
         y = np.array([1e-170, 1e-170, 0.0])

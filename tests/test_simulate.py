@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quadsig.covering as covering_module
 from quadsig import simulate
 from quadsig.analysis import GaussianPair, id_rate
 from quadsig.covering import _BATCH, build_covering
@@ -151,6 +152,33 @@ class TestShardThreads:
         monkeypatch.setenv("QUADSIG_THREADS", "1")
         assert _run_sharded(2 * SHARD_SIZE, 1, worker) == (2 * SHARD_SIZE,)
         assert seen == [2, 2, 2]
+
+    def test_failure_waits_for_running_shards(self, blas_get, monkeypatch):
+        # shard 0 raises at once while shard 1 still runs: the error comes out
+        # only after shard 1 is done, with BLAS restored and the pool free
+        lock = threading.Lock()
+        live = 0
+
+        def worker(rng, count):
+            nonlocal live
+            with lock:
+                live += 1
+            try:
+                if count == SHARD_SIZE:
+                    raise RuntimeError("shard 0 failed")
+                time.sleep(0.2)
+                return (count,)
+            finally:
+                with lock:
+                    live -= 1
+
+        monkeypatch.setenv("QUADSIG_THREADS", "2")
+        with pytest.raises(RuntimeError, match="shard 0 failed"):
+            _run_sharded(SHARD_SIZE + 5, 1, worker)
+        assert live == 0
+        assert blas_get() == 2
+        assert covering_module._lock.acquire(blocking=False)
+        covering_module._lock.release()
 
     def test_overlapping_callers_restore_blas(self, blas_get, monkeypatch):
         # more callers than cores, switching threads as often as possible:
