@@ -30,6 +30,7 @@ from .simulate import _FAMILIES, SourceSpec, _experiments, fit_exponent
 USAGE_ERROR = 2
 REFUSAL = 3
 ADMISSIBILITY_VIOLATION = 4
+_SWEEP_POINTS = 1_000_000
 
 
 def _fmt_rate(x: float) -> str:
@@ -72,12 +73,20 @@ def _cmd_rate(args) -> int:
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to stop within 1e-9 step; none if a bound or
-    step is NaN.  An infinite one, which would sweep without end, is refused."""
+    step is NaN.  An infinite one, which would sweep without end, is refused,
+    and so is a range of more than _SWEEP_POINTS points, counted before any
+    point is made."""
     for flag, value in (("--start", start), ("--stop", stop), ("--step", step)):
         if math.isinf(value):
             raise ValueError(f"{flag} must be finite, not {value}")
     if step <= 0.0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
+    count = (stop + 1e-9 * step - start) // step + 1.0  # NaN for a NaN input
+    if count > _SWEEP_POINTS:
+        raise ValueError(
+            f"--start, --stop and --step give {count:.3g} points, more than "
+            f"{_SWEEP_POINTS}; raise --step or narrow --start and --stop"
+        )
     values = []
     while start + len(values) * step <= stop + 1e-9 * step:
         values.append(start + len(values) * step)

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _check_count, _check_real, _check_vector
+from .errors import DomainError, PreconditionError, _check_count, _check_real, _check_vector
 from .geometry import cap_fraction_bounds
 
 __all__ = [
@@ -66,6 +66,9 @@ _CENTER_CHUNK = 512  # keeps the cosine workspace small and reused
 # Rows per GEMM: a (_TILE, _CENTER_CHUNK) float32 cosine tile is 2 MB, so the
 # argmax reads it back from cache.  Each search allocates one such workspace.
 _TILE = 1024
+# build_covering refuses a covering whose certified fewest centers take more
+# bytes than this: 2^27 doubles, 1 GiB, past what a greedy build finishes
+_CENTER_BYTES = 2**30
 
 
 def _gamma(n: int) -> float:
@@ -413,11 +416,25 @@ def build_covering(
     sqrt(n d0) from all current centers becomes a new center direction.
     Stops once `audit_samples` consecutive samples land covered.
     Deterministic given (n, sigma2, d0, seed, audit_samples).
+
+    Raises a PreconditionError, before drawing any sample, when the
+    certified fewest centers, predicted_size_bounds(n, sigma2, d0)[0], take
+    more than _CENTER_BYTES (a fixed 1 GiB) as n doubles each.
     """
     n = _check_count(n, "n", 2)
     _check_shell(sigma2, d0)
     seed = _check_count(seed, "seed", 0)
     audit_samples = _check_count(audit_samples, "audit_samples")
+    try:
+        fewest = predicted_size_bounds(n, sigma2, d0)[0]
+    except DomainError:  # caps too wide for the bound: a few centers cover
+        fewest = 0.0
+    if fewest * n * 8 > _CENTER_BYTES:
+        raise PreconditionError(
+            f"a covering at n = {n}, d0 / sigma2 = {d0 / sigma2:.6g} needs at "
+            f"least {fewest:.3g} centers, {fewest * n * 8:.3g} bytes, more than "
+            f"the {_CENTER_BYTES} bytes that build_covering will hold; raise d0"
+        )
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cos_thr = _cos_theta0(sigma2, d0)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import GaussianPair, _check_rate
 from .covering import CoveringCode, _covering_from_payload, _covering_payload, _field
-from .covering import _nearest, _theta0
+from .covering import _TILE, _nearest, _theta0
 from .errors import PreconditionError, _check_count, _check_real, _check_vector
 from .geometry import CapSpec, _cap_distances, _expansion_cosine
 from .geometry import expansion_cone_angle
@@ -187,7 +187,10 @@ def assign_many(
     Returns (center_idx, shell_idx, erased); center/shell entries are
     meaningless where erased is set.  Rows erased by amplitude (out of range,
     zero or non-finite) are never searched and carry center 0; only the
-    surviving rows, packed together, go through the nearest-center kernel.
+    surviving rows, packed together, go through the nearest-center kernel,
+    gathered and normalized _TILE at a time, so that no temporary holds more
+    than _TILE rows of X.  The tiles are the kernel's own, so every center
+    is that of one search over all the packed rows.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != config.n:
@@ -210,11 +213,13 @@ def assign_many(
         )
 
     live = np.flatnonzero(~erased)
-    units = X[live]
-    units /= np.sqrt(norm2[live])[:, None]
     centers_idx = np.zeros(m, dtype=np.int64)
-    centers_idx[live], cos_best = _nearest(code._units, code.size, units)
-    erased[live] = cos_best < code.cos_theta0
+    for r0 in range(0, live.size, _TILE):
+        rows = live[r0 : r0 + _TILE]
+        units = X[rows]
+        units /= np.sqrt(norm2[rows])[:, None]
+        centers_idx[rows], cos_best = _nearest(code._units, code.size, units)
+        erased[rows] = cos_best < code.cos_theta0
     return centers_idx, shells, erased
 
 
@@ -230,7 +235,10 @@ def query_many(
     Y holds one query point of dimension n per signature.
 
     A row whose query point is not finite, or so large that its squared norm
-    overflows, answers maybe without reaching the cap-distance formula.
+    overflows, answers maybe without reaching the cap-distance formula.  The
+    other live rows reach it _TILE at a time, so that no temporary holds more
+    than _TILE rows of Y; each row's distance is computed on its own, so the
+    answers are those of one call on every live row.
     erased and the integer index arrays must be 1-D, one entry per signature,
     and a row not marked erased must name a center in [0, code.size).
     """
@@ -264,11 +272,13 @@ def query_many(
     finite = np.isfinite(np.einsum("ij,ij->i", Y, Y))
     live = np.flatnonzero(signed & finite)
     inner, outer = config.shell_radii(shells_idx[live])
-    dist = _cap_distances(
-        Y[live], code._units[centers_idx[live]], code.theta0, inner, outer
-    )
-    # written so that a NaN distance would still land on "maybe"
-    maybe[live] = ~(dist > math.sqrt(config.n * config.d))
+    for r0 in range(0, live.size, _TILE):
+        tile = slice(r0, r0 + _TILE)
+        rows = live[tile]
+        dist = _cap_distances(Y[rows], code._units[centers_idx[rows]], code.theta0,
+                              inner[tile], outer[tile])
+        # written so that a NaN distance would still land on "maybe"
+        maybe[rows] = ~(dist > math.sqrt(config.n * config.d))
     return maybe
 
 

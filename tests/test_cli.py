@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,15 @@ class TestSweep:
                          "--stop", "0.5", "--step", "0.1")
         assert rc == 2
 
+    def test_huge_range_refused_before_any_point(self, capsys):
+        # about 1e13 points once filled memory before a MemoryError
+        began = time.perf_counter()
+        rc, out, err = run(capsys, "sweep", "--axis", "d", "--start", "0.5",
+                           "--stop", "1e12", "--step", "0.1")
+        assert time.perf_counter() - began < 1.0
+        assert rc == 2 and out == ""
+        assert err.startswith("error: --start, --stop and --step give 1e+13 points")
+
 
 class TestExponent:
     def test_prints_solution_and_ceiling(self, capsys):
@@ -176,6 +186,16 @@ class TestCover:
 
         code = load_covering(path)
         assert code.size == int(lines["centers"])
+
+    def test_impossible_covering_refused(self, capsys, tmp_path):
+        # the certified fewest centers, 4.9e17, would never finish
+        path = tmp_path / "cover.json"
+        began = time.perf_counter()
+        rc, _, err = run(capsys, "cover", "--n", "64", "--sigma2", "1", "--d0", "0.3",
+                         "--seed", "1", "--out", str(path))
+        assert time.perf_counter() - began < 1.0
+        assert rc == 3 and not path.exists()
+        assert "needs at least 4.92e+17 centers" in err
 
     def test_invalid_distortion_usage_error(self, capsys, tmp_path):
         rc, _, err = run(capsys, "cover", "--n", "4", "--sigma2", "1", "--d0", "1.5",
@@ -221,6 +241,14 @@ class TestSimulateAndFit:
         rc, _, err = run(capsys, "simulate", "--n-list", "8", "--rate", "0.1",
                          "--d", "1.5", "--trials", "100", "--seed", "1")
         assert rc == 3
+
+    def test_impossible_covering_refused(self, capsys):
+        # criterion 07's n = 64 plan: the shape_gain covering needs 1.8e40 centers
+        rc, out, err = run(capsys, "simulate", "--n-list", "64", "--rate", "3",
+                           "--d", "1.5", "--trials", "100", "--seed", "1",
+                           "--mode", "shape_gain", "--epsilon", "0.05")
+        assert rc == 3 and out == ""
+        assert "needs at least 1.84e+40 centers" in err
 
     def test_zero_trials_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,10 @@
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,19 @@ import pytest
 import quadsig
 
 MODULES = ("analysis", "covering", "errors", "geometry", "scheme", "simulate")
+
+# What `import quadsig` loads beyond `import numpy` in a fresh interpreter.
+# Every command pays for these at start-up, so a new module-level import
+# (scipy, say, which geometry imports only where it is used) fails a test
+# until it is added here on purpose.
+IMPORTED = {
+    "__future__", "_heapq", "_json", "_queue", "_string", "concurrent",
+    "concurrent.futures", "concurrent.futures._base", "concurrent.futures.thread",
+    "copy", "dataclasses", "glob", "heapq", "json", "json.decoder", "json.encoder",
+    "json.scanner", "logging", "quadsig", "quadsig.analysis", "quadsig.covering",
+    "quadsig.errors", "quadsig.geometry", "quadsig.scheme", "quadsig.simulate",
+    "queue", "string", "traceback",
+}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -36,3 +52,15 @@ def test_private_names_in_the_docs_exist():
     cited = {name for doc in docs if doc for name in re.findall(r"`(_\w+)`", doc)}
     known = set().union(*(vars(module) for module in modules))
     assert cited and sorted(cited - known) == []
+
+
+def test_import_loads_no_new_module():
+    src = str(Path(quadsig.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, numpy; before = set(sys.modules); import quadsig; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "quadsig.scheme" in out
+    assert sorted(set(out) - IMPORTED) == []

@@ -8,9 +8,9 @@ import pytest
 from oracles import grid_min_distance
 import quadsig.scheme as scheme_module
 from quadsig.analysis import GaussianPair, id_rate
-from quadsig.covering import _BATCH, CoveringCode, _nearest, build_covering
+from quadsig.covering import _BATCH, _TILE, CoveringCode, _nearest, build_covering
 from quadsig.errors import DomainError, PreconditionError
-from quadsig.geometry import min_distance_to_thick_cap
+from quadsig.geometry import _cap_distances, min_distance_to_thick_cap
 from quadsig.scheme import (
     ERASURE,
     SchemeConfig,
@@ -191,6 +191,67 @@ class TestSkipErasedRows:
             assert np.array_equal(ci[live], ci_l)
             assert np.array_equal(si[live], si_l)
             assert np.array_equal(er[live], er_l)
+
+
+class TestTileEdges:
+    """assign_many and query_many work _TILE live rows at a time; every
+    answer must be that of one computation on the whole block."""
+
+    def block(self, seed):
+        # live rows, except an out-of-range (E), a zero (Z), a NaN (N) and an
+        # infinite (I) row around each edge of the packed live rows' tiles:
+        # the 2 * _TILE + 1 live rows end in a one-row tile
+        kinds = (["L"] * (_TILE - 1) + ["E", "L", "Z"] + ["L"] * (_TILE - 1)
+                 + ["N", "L", "I", "L"])
+        assert len(kinds) == 2 * _TILE + 5
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((len(kinds), 8))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X *= math.sqrt(8.0) * rng.uniform(0.97, 1.03, (len(kinds), 1))
+        for row, kind in enumerate(kinds):
+            if kind != "L":
+                X[row] = {"E": 10.0 * X[row], "Z": 0.0, "N": np.nan, "I": np.inf}[kind]
+        return X, np.array([kind == "L" for kind in kinds])
+
+    def whole_block_assign(self, config, code, X):
+        live = np.flatnonzero(amplitude_live(config, X))
+        units = X[live]
+        units /= np.sqrt(np.einsum("ij,ij->i", X, X)[live])[:, None]
+        ci, erased = np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool)
+        ci[live], cos_best = _nearest(code._units, code.size, units)
+        erased[live] = cos_best < code.cos_theta0
+        return ci, erased
+
+    def whole_block_query(self, config, code, ci, si, er, Y):
+        live = np.flatnonzero(~er & np.isfinite(np.einsum("ij,ij->i", Y, Y)))
+        inner, outer = config.shell_radii(si[live])
+        dist = _cap_distances(Y[live], code._units[ci[live]], code.theta0, inner, outer)
+        maybe = np.ones(len(Y), dtype=bool)
+        maybe[live] = ~(dist > math.sqrt(config.n * config.d))
+        return maybe, live
+
+    def test_tiles_match_whole_block(self, basic8, gain8, code8):
+        X, kept = self.block(57)
+        for config in (basic8, gain8):
+            assert np.array_equal(amplitude_live(config, X), kept)
+            ci, si, er = assign_many(config, code8, X)
+            ci_ref, er_ref = self.whole_block_assign(config, code8, X)
+            assert np.array_equal(ci, ci_ref) and np.array_equal(er, er_ref)
+            # a center other than 0 shows that the one-row last tile was searched
+            assert not er[-1] and ci[-1] != 0
+            # query points near and far; a NaN, a zero, an overflowing and an
+            # infinite query row lie around the edge of the first query tile
+            rng = np.random.default_rng(58)
+            Y = X * rng.uniform(0.8, 1.2, (len(X), 1)) + rng.standard_normal(X.shape)
+            live = np.flatnonzero(~er)
+            for k, y in ((-2, np.nan), (1, 0.0), (3, 1e200 * X[live[0]]), (5, np.inf)):
+                Y[live[_TILE + k]] = y
+            maybe = query_many(config, code8, ci, si, er, Y)
+            maybe_ref, live_q = self.whole_block_query(config, code8, ci, si, er, Y)
+            assert np.array_equal(maybe, maybe_ref)
+            last = live_q[live_q.size // _TILE * _TILE :]
+            assert 0 < last.size < _TILE
+            assert maybe[last].any() and not maybe[last].all()
 
 
 class TestQuery:

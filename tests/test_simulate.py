@@ -419,7 +419,10 @@ def _traced_peak_mib(run) -> float:
 def test_one_shard_peak_memory_at_n40(code40, monkeypatch):
     # one 32,768-pair shard on one thread; with X (and the audit's U) held
     # whole, the five peaks read 15.4, 30.5, 23.1, 30.8 and 20.0 MiB.  Most
-    # basic-mode rows are erased, so a shard keeps only the live ones.
+    # basic-mode rows are erased, so a shard keeps only the live ones.  In
+    # shape_gain mode almost every row is live, and the blocks kept for the
+    # second pass set the peak; with 8,192-row search and query temporaries
+    # it read 20.9 and 28.7 MiB, and with _TILE-row ones 14.3 and 23.2.
     monkeypatch.setenv("QUADSIG_THREADS", "1")
     pair = GaussianPair(1.0, 1.0)
     rate = id_rate(pair, 0.02) + 0.5
@@ -440,9 +443,24 @@ def test_one_shard_peak_memory_at_n40(code40, monkeypatch):
     )
     assert peaks["basic", "estimate"] < 8.0, peaks
     assert peaks["basic", "audit"] < 12.0, peaks
-    assert peaks["shape_gain", "estimate"] <= 23.1, peaks
-    assert peaks["shape_gain", "audit"] <= 30.8, peaks
+    assert peaks["shape_gain", "estimate"] <= 14.9, peaks
+    assert peaks["shape_gain", "audit"] <= 24.3, peaks
     assert peaks["similarity"] < 20.0, peaks
+
+
+def test_query_many_peak_memory_at_n40(code40):
+    # one block of 8,192 live rows: a temporary of every row (2.5 MiB) fails
+    # the bound, which the _TILE-row temporaries keep to about 1.2 MiB
+    pair = GaussianPair(1.0, 1.0)
+    plan = plan_scheme(pair, 0.02, id_rate(pair, 0.02) + 0.5, 40, 0.1, mode="shape_gain")
+    s = SourceSpec("laplace", 1.0)
+    X, Y = (s.draw(np.random.default_rng(seed), (_BATCH, 40)) for seed in (5, 6))
+    centers, shells, _ = assign_many(plan.config, code40, X)
+    erased = np.zeros(_BATCH, dtype=bool)
+    peak = _traced_peak_mib(
+        lambda: query_many(plan.config, code40, centers, shells, erased, Y)
+    )
+    assert peak < 2.0, peak
 
 
 class TestFitExponent:
