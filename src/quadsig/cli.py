@@ -143,7 +143,8 @@ def _cmd_exponent(args) -> int:
 def _cmd_cover(args) -> int:
     code = build_covering(args.n, args.sigma2, args.d0, args.seed, args.audit_samples)
     save_covering(code, args.out)
-    report = verify_covering(code, args.verify_samples, args.verify_seed)
+    verify_seed = args.seed + 1 if args.verify_seed is None else args.verify_seed
+    report = verify_covering(code, args.verify_samples, verify_seed)
     print(f"centers: {code.size}")
     print(f"rate: {report.rate:.6f} bits/symbol")
     print(f"bound: {report.bound:.6f} bits/symbol")
@@ -312,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "cover" and args.verify_seed is None:
-        args.verify_seed = args.seed + 1
     try:
         return args.func(args)
     except (PreconditionError, DomainError) as exc:

@@ -27,6 +27,11 @@ cos theta0 - gamma is not.  A nearest center whose float32 cosine beats
 every other center's by more than 2 gamma is the float64 product's nearest
 center too.  Only the samples the screen leaves open, which are rare, are
 decided by the float64 product, so every decision is the float64 one.
+Each kernel searches exactly the centers it is handed: the builder hands
+it the view of the centers found so far, verify and assignment a code's
+unit centers.  `_covered` walks its block in tiles of _TILE rows;
+`_nearest` screens the one tile it is given, and `assign_many` walks the
+tiles.
 
 Build and verify draw their samples in blocks of _BATCH // 2 rows
 (`_unit_blocks`).  With more than one pool thread (QUADSIG_THREADS, default
@@ -41,13 +46,11 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import glob
 import itertools
 import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,70 +95,67 @@ def _reaches(units, rows, thr):
     return _cosines(units, rows).max(axis=0) >= thr
 
 
-def _nearest(units, m, block) -> tuple[np.ndarray, np.ndarray]:
-    """(index, float64 cosine) of the nearest of the first m unit centers for
-    each row of a block of unit rows; the index is the argmax of `_cosines`,
-    ties broken to the lowest index.
+def _nearest(units, tile) -> tuple[np.ndarray, np.ndarray]:
+    """(index, float64 cosine) of the nearest of the unit centers `units`
+    for each row of a tile of unit rows; the index is the argmax of
+    `_cosines`, ties broken to the lowest index.  The workspace is one
+    float32 cosine chunk per row, so a caller hands it at most _TILE rows
+    (`assign_many`).
 
-    The screen casts the centers and each tile of at most _TILE rows to
-    float32.  For each center chunk it takes the row argmax, masks it and
-    takes a second argmax, and folds both into the tile's running best and
-    runner-up.  A row whose best beats its runner-up by more than 2 gamma
-    has a unique nearest center: every other center's cosine is at most
-    runner-up + gamma < best - gamma.  The other rows, near-ties, are
-    re-decided by `_cosines`.  Each row's cosine is then one float64 dot
-    product with its center.  It matches the float64 product's to rounding,
-    so a threshold test on it can differ from one on the product only for a
-    cosine within a few ulps of the threshold, as in `_covered`.  Whether a
-    row is covered at all is `_covered`'s question.
+    The screen casts the centers and the tile to float32.  For each center
+    chunk it takes the row argmax, masks it and takes a second argmax, and
+    folds both into the running best and runner-up.  A row whose best beats
+    its runner-up by more than 2 gamma has a unique nearest center: every
+    other center's cosine is at most runner-up + gamma < best - gamma.  The
+    other rows, near-ties, are re-decided by `_cosines`.  Each row's cosine
+    is then one float64 dot product with its center.  It matches the float64
+    product's to rounding, so a threshold test on it can differ from one on
+    the product only for a cosine within a few ulps of the threshold, as in
+    `_covered`.  Whether a row is covered at all is `_covered`'s question.
     """
-    b = block.shape[0]
-    gap = 2.0 * _gamma(block.shape[1])
-    idx = np.zeros(b, dtype=np.int64)
-    best = np.empty(b)
-    units32 = units[:m].astype(np.float32)
-    buf = np.empty(min(b, _TILE) * _CENTER_CHUNK, dtype=np.float32)
-    for r0 in range(0, b, _TILE):
-        tile = block[r0 : r0 + _TILE]
-        tile32 = tile.astype(np.float32)
-        t = tile.shape[0]
-        tidx, rows = idx[r0 : r0 + t], np.arange(t)
-        top = np.full(t, -np.inf, dtype=np.float32)
-        second = np.full(t, -np.inf, dtype=np.float32)
-        for c0 in range(0, m, _CENTER_CHUNK):
-            k = min(_CENTER_CHUNK, m - c0)
-            cos = buf[: t * k].reshape(t, k)
-            np.dot(tile32, units32[c0 : c0 + k].T, out=cos)
-            loc = cos.argmax(axis=1)
-            val = cos[rows, loc]
-            cos[rows, loc] = -np.inf
-            val2 = cos[rows, cos.argmax(axis=1)]
-            np.maximum(second, np.maximum(val2, np.minimum(val, top)), out=second)
-            upd = val > top
-            tidx[upd], top[upd] = c0 + loc[upd], val[upd]
-        near = np.flatnonzero(top - second.astype(float) <= gap)
-        if near.size:
-            tidx[near] = _cosines(units[:m], tile[near]).argmax(axis=0)
-        best[r0 : r0 + t] = np.einsum("ij,ij->i", tile, units[tidx])
-    return idx, best
+    t = tile.shape[0]
+    gap = 2.0 * _gamma(tile.shape[1])
+    idx = np.zeros(t, dtype=np.int64)
+    best = np.empty(t)
+    units32 = units.astype(np.float32)
+    buf = np.empty(t * _CENTER_CHUNK, dtype=np.float32)
+    tile32, rows = tile.astype(np.float32), np.arange(t)
+    top = np.full(t, -np.inf, dtype=np.float32)
+    second = np.full(t, -np.inf, dtype=np.float32)
+    for c0 in range(0, len(units), _CENTER_CHUNK):
+        k = min(_CENTER_CHUNK, len(units) - c0)
+        cos = buf[: t * k].reshape(t, k)
+        np.dot(tile32, units32[c0 : c0 + k].T, out=cos)
+        loc = cos.argmax(axis=1)
+        val = cos[rows, loc]
+        cos[rows, loc] = -np.inf
+        val2 = cos[rows, cos.argmax(axis=1)]
+        np.maximum(second, np.maximum(val2, np.minimum(val, top)), out=second)
+        upd = val > top
+        idx[upd], top[upd] = c0 + loc[upd], val[upd]
+    near = np.flatnonzero(top - second.astype(float) <= gap)
+    if near.size:
+        idx[near] = _cosines(units, tile[near]).argmax(axis=0)
+    return idx, np.einsum("ij,ij->i", tile, units[idx], out=best)
 
 
-def _covered(units, m, block, thr) -> np.ndarray:
-    """Whether one of the first m unit centers reaches cosine thr, for
-    each row of a block of unit rows; every answer is that of `_reaches`
-    except for cosines within a few float64 ulps of thr.
+def _covered(units, block, thr) -> np.ndarray:
+    """Whether one of the unit centers `units` reaches cosine thr, for each
+    row of a block of unit rows; every answer is that of `_reaches` except
+    for cosines within a few float64 ulps of thr.
 
-    The screen casts the centers and the block to float32 and walks the tiles
-    and chunks of `_nearest`.  A row leaves its tile as covered once its
-    float32 cosine reaches `hi`, and joins the band once it reaches `lo`;
-    hi and lo are thr +- gamma (module docstring), rounded outward to
-    float32.  A band row that no center covered is re-decided by `_reaches`.
+    The screen casts the centers and the block to float32 and walks the
+    block in tiles of _TILE rows and the centers in the chunks of
+    `_nearest`.  A row leaves its tile as covered once its float32 cosine
+    reaches `hi`, and joins the band once it reaches `lo`; hi and lo are
+    thr +- gamma (module docstring), rounded outward to float32.  A band row
+    that no center covered is re-decided by `_reaches`.
     """
     b, n = block.shape
     gamma = _gamma(n)
     hi = np.nextafter(np.float32(thr + gamma), np.float32(np.inf))
     lo = np.nextafter(np.float32(thr - gamma), np.float32(-np.inf))
-    units32 = units[:m].astype(np.float32)
+    units32 = units.astype(np.float32)
     block32 = block.astype(np.float32)
     buf = np.empty(min(b, _TILE) * _CENTER_CHUNK, dtype=np.float32)
     covered = np.zeros(b, dtype=bool)
@@ -163,8 +163,8 @@ def _covered(units, m, block, thr) -> np.ndarray:
     for r0 in range(0, b, _TILE):
         tile = block32[r0 : r0 + _TILE]
         sel = np.arange(r0, r0 + tile.shape[0])
-        for c0 in range(0, m, _CENTER_CHUNK):
-            k = min(_CENTER_CHUNK, m - c0)
+        for c0 in range(0, len(units), _CENTER_CHUNK):
+            k = min(_CENTER_CHUNK, len(units) - c0)
             cos = buf[: sel.size * k].reshape(sel.size, k)
             np.dot(tile, units32[c0 : c0 + k].T, out=cos)
             val = cos[np.arange(sel.size), cos.argmax(axis=1)]
@@ -177,7 +177,7 @@ def _covered(units, m, block, thr) -> np.ndarray:
                     break
         sel = sel[band[sel]]  # uncovered in float32, but inside the band
         if sel.size:
-            covered[sel] = _reaches(units[:m], block[sel], thr)
+            covered[sel] = _reaches(units, block[sel], thr)
     return covered
 
 
@@ -300,6 +300,8 @@ def _threads() -> int:
 def _openblas_threads():
     """(get, set) for the thread count of the OpenBLAS that numpy bundles, or
     None when numpy ships no such library."""
+    import glob  # loaded on the first pooled run, not at start-up
+
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         try:
@@ -348,6 +350,10 @@ def _pooled(fn, args, jobs, ahead=None):
     if min(threads, jobs) <= 1:
         yield map(fn, args)
         return
+    # loaded here, not at start-up: a command that runs no pool loads no
+    # thread pool and no logging
+    from concurrent.futures import ThreadPoolExecutor, wait
+
     with _lock:
         if _pool is None or _pool[0] != threads:
             # the old executor's idle threads exit once it is unreferenced
@@ -444,7 +450,7 @@ def build_covering(
     last = -1  # stream index of the newest center; every later sample is covered
     with _unit_blocks(rng, n) as blocks:
         for block in blocks:
-            covered = _covered(units, m, block, cos_thr)
+            covered = _covered(units[:m], block, cos_thr)
             start = m
             for i in np.flatnonzero(~covered):
                 if drawn + i - last - 1 >= audit_samples:
@@ -473,7 +479,7 @@ def verify_covering(code: CoveringCode, samples: int, seed: int) -> CoveringRepo
     covered = 0
     with _unit_blocks(rng, code.n, samples) as blocks:
         for block in blocks:
-            covered += int(_covered(code._units, code.size, block, code.cos_theta0).sum())
+            covered += int(_covered(code._units, block, code.cos_theta0).sum())
     return CoveringReport(
         rate=code.rate,
         bound=0.5 * math.log2(code.sigma2 / code.d0),

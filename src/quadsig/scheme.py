@@ -189,8 +189,9 @@ def assign_many(
     zero or non-finite) are never searched and carry center 0; only the
     surviving rows, packed together, go through the nearest-center kernel,
     gathered and normalized _TILE at a time, so that no temporary holds more
-    than _TILE rows of X.  The tiles are the kernel's own, so every center
-    is that of one search over all the packed rows.
+    than _TILE rows of X.  The kernel screens one tile per call, and the
+    center it gives a row is the float64 product's argmax for that row
+    alone, so every center is that of one search over all the packed rows.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != config.n:
@@ -218,7 +219,7 @@ def assign_many(
         rows = live[r0 : r0 + _TILE]
         units = X[rows]
         units /= np.sqrt(norm2[rows])[:, None]
-        centers_idx[rows], cos_best = _nearest(code._units, code.size, units)
+        centers_idx[rows], cos_best = _nearest(code._units, units)
         erased[rows] = cos_best < code.cos_theta0
     return centers_idx, shells, erased
 

@@ -20,6 +20,7 @@ is drawn in the stream order of a whole draw, so the counts are those of a
 shard that holds X and Y whole.
 """
 
+# lazy annotations: `np.random.Generator` below would load numpy.random at import
 from __future__ import annotations
 
 import math

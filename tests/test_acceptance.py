@@ -324,6 +324,9 @@ def test_criterion_10_geometry_oracles():
         assert abs(got - want) <= 1e-6
     worst_z = 0.0
     checked_mc = 0
+    # x0 / |x| has the same law from x0 ~ N(0, 1) and |x|^2 - x0^2 ~ chi2(n - 1)
+    # as from n normal coordinates; a stream of its own leaves rng to the cases
+    mc = np.random.default_rng(np.random.SeedSequence(2024_10).spawn(1)[0])
     for k in range(200):
         n = int(rng.integers(2, 40))
         limit = math.acos(1.0 / math.sqrt(n))
@@ -332,8 +335,9 @@ def test_criterion_10_geometry_oracles():
         exact = q.cap_fraction_exact(theta, n)
         assert bounds.lower < exact < bounds.upper
         samples = 200_000
-        pts = rng.standard_normal((samples, n))
-        cosines = pts[:, 0] / np.linalg.norm(pts, axis=1)
+        x0 = mc.standard_normal(samples)
+        rest = mc.chisquare(n - 1, samples)
+        cosines = x0 / np.sqrt(x0 * x0 + rest)
         p_hat = float((cosines >= math.cos(theta)).mean())
         se = math.sqrt(max(exact * (1 - exact), 1e-300) / samples)
         if exact > 5 / samples:

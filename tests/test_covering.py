@@ -449,10 +449,10 @@ class TestNearestCenter:
         assert never[:_TILE].any() and never[_TILE : 2 * _TILE].any()
         assert (cos[never].max(axis=1) == 0.5).any()  # just below stop
 
-        covered = _covered(units, len(units), rows, stop)
+        covered = _covered(units, rows, stop)
         assert np.array_equal(covered, cos.max(axis=1) >= stop)
 
-        idx, best = _nearest(units, len(units), rows)
+        idx, best = _nearest(units, rows)
         assert np.array_equal(idx, cos.argmax(axis=1))
         assert np.array_equal(best, cos.max(axis=1))
 
@@ -481,7 +481,7 @@ class TestNearestCenter:
             rows[at : at + 7, 1] = np.sqrt(1.0 - a * a)
             want[at : at + 7] = a >= thr
         assert want.any() and not want.all()
-        assert np.array_equal(_covered(units, m, rows, thr), want)
+        assert np.array_equal(_covered(units, rows, thr), want)
 
     def test_covered_matches_float64_near_the_threshold(self):
         # Rows at cosine thr + U(-1e-6, 1e-6) to a random center: float32
@@ -501,11 +501,12 @@ class TestNearestCenter:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         want = (rows @ units.T).max(axis=1) >= thr
         assert 0.3 < want.mean() < 0.7
-        assert np.array_equal(_covered(units, m, rows, thr), want)
+        assert np.array_equal(_covered(units, rows, thr), want)
 
     def test_rows_past_m_are_never_read(self):
-        # The builder's center buffer is np.empty past its m filled rows; the
-        # search must read only units[:m], also in a partial last chunk.
+        # The builder's center buffer is np.empty past its m filled rows, and
+        # it hands the kernels the view units[:m]: a search of the view must
+        # be that of a copy, also in a partial last chunk.
         n, m = 8, _CENTER_CHUNK + 3
         rng = np.random.default_rng(13)
         units = np.full((2 * _CENTER_CHUNK, n), np.nan)
@@ -513,13 +514,13 @@ class TestNearestCenter:
         units[:m] /= np.linalg.norm(units[:m], axis=1, keepdims=True)
         rows = rng.standard_normal((_TILE + 300, n))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        idx, best = _nearest(units, m, rows)
-        want_idx, want_best = _nearest(units[:m].copy(), m, rows)
+        idx, best = _nearest(units[:m], rows)
+        want_idx, want_best = _nearest(units[:m].copy(), rows)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(best, want_best)
         assert np.isfinite(best).all()
-        covered = _covered(units, m, rows, 0.8)
-        assert np.array_equal(covered, _covered(units[:m].copy(), m, rows, 0.8))
+        covered = _covered(units[:m], rows, 0.8)
+        assert np.array_equal(covered, _covered(units[:m].copy(), rows, 0.8))
         assert np.array_equal(covered, best >= 0.8)
         assert (covered & (idx < _CENTER_CHUNK)).any()  # some rows retire early
 
@@ -591,7 +592,7 @@ class TestNearestNearTies:
             return cosines(units_, rows_)
 
         monkeypatch.setattr(covering_module, "_cosines", spy)
-        idx, best = _nearest(units, self.M, rows)
+        idx, best = _nearest(units, rows)
 
         cos = rows @ units.T
         assert np.array_equal(cos[at].argmax(axis=1), want_at)
@@ -608,7 +609,7 @@ class TestNearestNearTies:
         for c, (lo, hi) in zip((6, 7), self.DUPLICATES):
             near = rows[:, c] == 0.9
             assert near.sum() == 2 and (units[lo] == units[hi]).all()
-            idx, best = _nearest(units, self.M, rows[near])
+            idx, best = _nearest(units, rows[near])
             assert (idx == lo).all() and (best == 0.9).all()
 
     def test_random_rows_match_the_float64_search(self):
@@ -619,7 +620,7 @@ class TestNearestNearTies:
         rows = rng.standard_normal((20_000, n))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         cos = rows @ units.T
-        idx, best = _nearest(units, m, rows)
+        idx, best = _nearest(units, rows)
         assert np.array_equal(idx, cos.argmax(axis=1))
         # one dot product per row sums in another order than the GEMM, so
         # the cosines agree only to rounding: 4 ulps of 1, the largest cosine

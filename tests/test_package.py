@@ -18,12 +18,9 @@ MODULES = ("analysis", "covering", "errors", "geometry", "scheme", "simulate")
 # (scipy, say, which geometry imports only where it is used) fails a test
 # until it is added here on purpose.
 IMPORTED = {
-    "__future__", "_heapq", "_json", "_queue", "_string", "concurrent",
-    "concurrent.futures", "concurrent.futures._base", "concurrent.futures.thread",
-    "copy", "dataclasses", "glob", "heapq", "json", "json.decoder", "json.encoder",
-    "json.scanner", "logging", "quadsig", "quadsig.analysis", "quadsig.covering",
+    "__future__", "_json", "copy", "dataclasses", "json", "json.decoder",
+    "json.encoder", "json.scanner", "quadsig", "quadsig.analysis", "quadsig.covering",
     "quadsig.errors", "quadsig.geometry", "quadsig.scheme", "quadsig.simulate",
-    "queue", "string", "traceback",
 }
 
 

@@ -166,9 +166,9 @@ class TestSkipErasedRows:
         # erased rows are reported erased, with center 0
         searched = []
 
-        def counting(units, m, block):
-            searched.append(block.shape[0])
-            return _nearest(units, m, block)
+        def counting(units, tile):
+            searched.append(tile.shape[0])
+            return _nearest(units, tile)
 
         monkeypatch.setattr(scheme_module, "_nearest", counting)
         X = self.mixed_rows(3000, 51)
@@ -178,6 +178,7 @@ class TestSkipErasedRows:
             assert 0 < live.sum() < len(X)
             ci, _, er = assign_many(config, code8, X)
             assert sum(searched) == live.sum()
+            assert max(searched) <= _TILE  # one tile per call
             assert er[~live].all()
             assert (ci[~live] == 0).all()
 
@@ -218,7 +219,7 @@ class TestTileEdges:
         units = X[live]
         units /= np.sqrt(np.einsum("ij,ij->i", X, X)[live])[:, None]
         ci, erased = np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool)
-        ci[live], cos_best = _nearest(code._units, code.size, units)
+        ci[live], cos_best = _nearest(code._units, units)
         erased[live] = cos_best < code.cos_theta0
         return ci, erased
 
