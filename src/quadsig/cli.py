@@ -44,6 +44,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
+    return value
+
+
 def _emit(out: str | None, config: dict, columns: str, rows: list[str]) -> None:
     """Write a CSV table, to stdout when out is None: the '#' JSON config
     line, the column line, then the rows."""
@@ -280,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--d0", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, required=True)
     p.add_argument("--audit-samples", type=_positive_int, default=100_000)
     p.add_argument("--verify-samples", type=_positive_int, default=100_000)
-    p.add_argument("--verify-seed", type=int, default=None)
+    p.add_argument("--verify-seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cover)
 
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist-x", choices=_FAMILIES, default="gaussian")
     p.add_argument("--dist-y", choices=_FAMILIES, default="gaussian")
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, required=True)
     p.add_argument("--mode", choices=["basic", "shape_gain"], default="basic")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--audit-samples", type=_positive_int, default=20_000)

@@ -137,6 +137,12 @@ class SchemePlan:
     predicted_rate: float
 
 
+def _check_same_n(config: SchemeConfig, code: CoveringCode) -> None:
+    """Refuse a scheme and a covering of different dimensions."""
+    if config.n != code.n:
+        raise ValueError(f"scheme has n={config.n} but its covering has n={code.n}")
+
+
 def assign_signature(config: SchemeConfig, code: CoveringCode, x) -> Signature:
     """Map x to (nearest center, amplitude shell), or to the erasure symbol.
 
@@ -156,6 +162,7 @@ def cell_cap(config: SchemeConfig, code: CoveringCode, sig: Signature) -> CapSpe
     """Thick cap certified to contain the cell of a non-erasure signature."""
     if sig.is_erasure:
         raise ValueError("the erasure symbol has no cell cap")
+    _check_same_n(config, code)
     _check_count(sig.center_index, "center_index", 0, code.size - 1)
     inner, outer = config.shell_radii(sig.shell_index)
     return CapSpec(
@@ -193,6 +200,7 @@ def assign_many(
     center it gives a row is the float64 product's argmax for that row
     alone, so every center is that of one search over all the packed rows.
     """
+    _check_same_n(config, code)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != config.n:
         raise ValueError(f"expected X of shape (rows, {config.n}), not {X.shape}")
@@ -243,6 +251,7 @@ def query_many(
     erased and the integer index arrays must be 1-D, one entry per signature,
     and a row not marked erased must name a center in [0, code.size).
     """
+    _check_same_n(config, code)
     Y = np.asarray(Y, dtype=float)
     erased = np.asarray(erased, dtype=bool)
     if erased.ndim != 1:
@@ -369,9 +378,7 @@ def load_scheme(path) -> tuple[SchemeConfig, CoveringCode]:
     config = SchemeConfig(**{f.name: _field(s, f.name, kinds.get(f.name, (int, float)))
                              for f in fields(SchemeConfig)})
     code = _covering_from_payload(_field(payload, "covering", (dict,)))
-    if config.n != code.n or _field(s, "d0") != code.d0:
-        raise ValueError(
-            f"scheme (n={config.n}, d0={s['d0']}) does not match its covering "
-            f"(n={code.n}, d0={code.d0})"
-        )
+    _check_same_n(config, code)
+    if _field(s, "d0") != code.d0:
+        raise ValueError(f"scheme has d0={s['d0']} but its covering has d0={code.d0}")
     return config, code

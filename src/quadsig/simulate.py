@@ -12,12 +12,12 @@ covering.py's `_pooled`, which holds the pool, its lock and the BLAS pin; the
 covering build and verify draw their next sample block through it too, and
 pooled runs started from several threads take turns, one at a time.
 
-A shard of an estimate or audit makes two passes over its rows in _BATCH
-blocks: the first draws X and assigns it, the second draws Y (or the audit's
-U, then its radii) and queries.  Between them a block keeps only the rows
-that still need a y, unless most of its rows do (`_live_blocks`).  Every row
-is drawn in the stream order of a whole draw, so the counts are those of a
-shard that holds X and Y whole.
+A shard of an estimate or audit (`_shard`) makes two passes over its rows in
+_BATCH blocks: the first draws X and assigns it, the second draws the query
+points and queries.  Between them a block keeps only the rows that still need
+a y, unless most of its rows do.  An estimate draws every Y row, in the stream
+order of a whole draw, so its counts are those of a shard that holds X and Y
+whole; an audit draws its directions and radii for the kept rows only.
 """
 
 # lazy annotations: `np.random.Generator` below would load numpy.random at import
@@ -110,46 +110,35 @@ def _estimate(hits: int, trials: int, false_negatives: int = 0) -> TrialEstimate
     return TrialEstimate(p, trials, lo, hi, false_negatives)
 
 
-def _live_blocks(config, code, count, x_rows) -> list:
-    """First pass over a shard of `count` pairs: draw X a _BATCH block at a
-    time, x_rows(rows) giving its next `rows` rows, and assign each block.
+def _shard(config, code, count, x_rows, y_rows) -> tuple[int, int]:
+    """The number of a shard's `count` pairs that get "maybe", and the number
+    of d-similar pairs that get "no" (false negatives, which must never occur).
 
-    Returns one (rows, keep, X, centers, shells, erased) per block: `rows` is
-    the block's length and `keep` selects the rows kept, whose X, centers,
-    shells and erased flags the other four hold.  An erased row answers
-    "maybe" whatever its y, so a block of which at most half is live keeps
-    its live rows only.  Otherwise the copy would cost more than it frees,
-    and `keep` is a slice of every row, which keeps the block as drawn.
+    The first pass draws X a _BATCH block at a time, x_rows(rows) giving its
+    next `rows` rows, and assigns each block.  An erased row answers "maybe"
+    whatever its y, so a block of which at most half is live keeps its live
+    rows only.  Otherwise the copy would cost more than it frees, and `keep`
+    is a slice of every row, which keeps the block as drawn.
+
+    The second pass takes each block out of the list as it goes, so that its
+    memory can be reused.  y_rows(rows, keep, X) returns the query points of
+    its kept rows X, of a block of `rows` pairs; this pass may overwrite them.
+    d(x, y) counts only where a pair answers "no", the only possible false
+    negative.
     """
     blocks = []
     for lo in range(0, count, _BATCH):
         X = x_rows(min(_BATCH, count - lo))
         centers, shells, erased = assign_many(config, code, X)
-        live = np.flatnonzero(~erased)
-        keep = live if 2 * live.size <= X.shape[0] else slice(None)
+        keep = np.flatnonzero(~erased)
+        keep = keep if 2 * keep.size <= X.shape[0] else slice(None)
         blocks.append(
             (X.shape[0], keep, X[keep], centers[keep], shells[keep], erased[keep])
         )
-    return blocks
-
-
-def _maybe_and_false_negatives(config, code, count, blocks, y_rows) -> tuple[int, int]:
-    """Second pass: the number of the shard's `count` pairs that get "maybe",
-    and the number of d-similar pairs that get "no" (false negatives, which
-    must never occur).
-
-    `blocks` is `_live_blocks`'s result.  y_rows(lo, rows, keep, X) returns
-    the query points of the kept rows of the block of `rows` pairs from pair
-    lo, called once per block in order, so Y need never exist whole; this
-    pass may overwrite them.  Each block is taken out of `blocks` as it is
-    queried, so that its memory can be reused.  d(x, y) is computed for the
-    kept rows only, and it counts only where a pair answers "no", the only
-    possible false negative.
-    """
     hits, fn = count, 0
-    for lo in range(0, count, _BATCH):
+    for _ in range(len(blocks)):
         rows, keep, X, centers, shells, erased = blocks.pop(0)
-        Y = y_rows(lo, rows, keep, X)
+        Y = y_rows(rows, keep, X)
         no = ~query_many(config, code, centers, shells, erased, Y)
         # y - x, in Y's memory: it has the bits of -(x - y), so the same squares
         Y -= X
@@ -202,12 +191,10 @@ def estimate_maybe_probability(
     def worker(rng: np.random.Generator, count: int):
         # drawing X, then Y, block by block yields the numbers of one draw
         # of each; every Y row is drawn, so the stream is the whole-draw one
-        blocks = _live_blocks(
-            config, code, count, lambda rows: spec_x.draw(rng, (rows, config.n))
-        )
-        return _maybe_and_false_negatives(
-            config, code, count, blocks,
-            lambda lo, rows, keep, X: spec_y.draw(rng, (rows, config.n))[keep],
+        return _shard(
+            config, code, count,
+            lambda rows: spec_x.draw(rng, (rows, config.n)),
+            lambda rows, keep, X: spec_y.draw(rng, (rows, config.n))[keep],
         )
 
     hits, fn = _run_sharded(trials, seed, worker)
@@ -251,40 +238,33 @@ def audit_admissibility(
     """Adversarial zero-false-negative audit on constructed similar pairs.
 
     x is drawn from the source; y = x + r*u with u uniform on the sphere and
-    r = sqrt(n d) * U^(1/n) (uniform in the ball).  A slice of each shard puts
-    r at sqrt(n d) (1 +/- 1e-9) to stress the threshold; pairs that land
+    r = sqrt(n d) * U^(1/n) (uniform in the ball).  u and r are drawn only
+    for the rows a shard keeps for its query (`_shard`), block by block; an
+    erased row answers "maybe" whatever its y.  A slice of each block's kept
+    rows, boundary_fraction of them and at least two, puts r at
+    sqrt(n d) (1 +/- 1e-9) to stress the threshold; pairs that land
     dissimilar (the +1e-9 side) are queried but exempt from the must-maybe
     check.  p_hat is the maybe fraction over all queried pairs.
     """
     _check_real(boundary_fraction, "boundary_fraction", 0.0, 1.0, "[]")
+    edge = math.sqrt(config.n * config.d)
 
     def worker(rng: np.random.Generator, count: int):
-        # the stream is all of X, then all of U, then the radii, as in a
-        # whole draw of each; only the kept rows of U are held
-        blocks = _live_blocks(
-            config, code, count, lambda rows: spec_x.draw(rng, (rows, config.n))
-        )
-        U = []
-        for rows, keep, *_ in blocks:
-            u = rng.standard_normal((rows, config.n))[keep]
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            U.append(u)
-        radius = math.sqrt(config.n * config.d) * rng.uniform(0.0, 1.0, count) ** (
-            1.0 / config.n
-        )
-        nb = max(2, int(count * boundary_fraction))
-        edge = math.sqrt(config.n * config.d)
-        radius[: nb // 2] = edge * (1.0 - 1e-9)
-        radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
+        def y_rows(rows, keep, X):
+            # u and r for the kept rows only, then y = x + r u in u's memory
+            y = rng.standard_normal(X.shape)
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            radius = edge * rng.uniform(0.0, 1.0, len(X)) ** (1.0 / config.n)
+            nb = max(2, int(len(X) * boundary_fraction))
+            radius[: nb // 2] = edge * (1.0 - 1e-9)
+            radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
+            y *= radius[:, None]
+            y += X
+            return y
 
-        def y_rows(lo, rows, keep, X):
-            # y = x + r u, formed in u's memory, which is needed no more
-            u = U.pop(0)
-            u *= radius[lo : lo + rows][keep, None]
-            u += X
-            return u
-
-        return _maybe_and_false_negatives(config, code, count, blocks, y_rows)
+        return _shard(
+            config, code, count, lambda rows: spec_x.draw(rng, (rows, config.n)), y_rows
+        )
 
     hits, fn = _run_sharded(trials, seed, worker)
     return _estimate(hits, trials, fn)

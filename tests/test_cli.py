@@ -203,6 +203,21 @@ class TestCover:
         assert rc == 2
         assert "d0" in err
 
+    def test_negative_seed_refused_at_parse(self, capsys, tmp_path):
+        # a negative --verify-seed was refused only after the covering was
+        # built and written, in a message that did not name the flag
+        path = tmp_path / "cover.json"
+        for flag in ("--seed", "--verify-seed"):
+            seeds = {"--seed": "1", "--verify-seed": "2", flag: "-1"}
+            with pytest.raises(SystemExit) as exc:
+                main(["cover", "--n", "2", "--sigma2", "1", "--d0", "0.5",
+                      *(tok for item in seeds.items() for tok in item),
+                      "--out", str(path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: expected an integer >= 0, got -1" in err
+            assert not path.exists()
+
 
 class TestSimulateAndFit:
     def test_pipeline_round_trip(self, capsys, tmp_path):
@@ -249,6 +264,16 @@ class TestSimulateAndFit:
                            "--mode", "shape_gain", "--epsilon", "0.05")
         assert rc == 3 and out == ""
         assert "needs at least 1.84e+40 centers" in err
+
+    def test_negative_seed_refused_at_parse(self, capsys, tmp_path):
+        path = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n-list", "8", "--rate", "0.65", "--d", "0.1",
+                  "--trials", "100", "--seed", "-1", "--out", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected an integer >= 0, got -1" in err
+        assert not path.exists()
 
     def test_zero_trials_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,11 @@ from quadsig.scheme import (
     rate_of,
     save_scheme,
 )
-from quadsig.simulate import SourceSpec
+from quadsig.simulate import (
+    SourceSpec,
+    audit_admissibility,
+    estimate_maybe_probability,
+)
 
 PAIR = GaussianPair(1.0, 1.0)
 
@@ -599,6 +603,39 @@ class TestBatchShapes:
         ci, si, er = assign_many(basic8, code8, np.empty((0, 8)))
         assert ci.shape == si.shape == er.shape == (0,)
         assert query_many(basic8, code8, ci, si, er, np.empty((0, 8))).shape == (0,)
+
+
+class TestDimensionMismatch:
+    """A scheme and a covering of different n are refused with both n named,
+    not deep inside numpy: here SchemeConfig(n=8) against a covering of
+    n = 4."""
+
+    MESSAGE = "^scheme has n=8 but its covering has n=4$"
+
+    def test_batch_calls(self, basic8, gain8):
+        code4 = _dummy_code(4, 17)
+        ci = si = np.zeros(3, dtype=np.int64)
+        er = np.zeros(3, dtype=bool)
+        for config in (basic8, gain8):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                assign_many(config, code4, np.ones((3, 8)))
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                query_many(config, code4, ci, si, er, np.ones((3, 8)))
+
+    def test_cell_cap(self, basic8, gain8):
+        # the cap came back with a 4-dimensional axis and n = 8 radii
+        code4 = _dummy_code(4, 17)
+        for config in (basic8, gain8):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                cell_cap(config, code4, Signature(0, 0))
+
+    def test_monte_carlo_entry_points(self, basic8):
+        code4 = _dummy_code(4, 17)
+        g = SourceSpec("gaussian", 1.0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            estimate_maybe_probability(basic8, code4, g, g, 100, 1)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            audit_admissibility(basic8, code4, g, 100, 1)
 
 
 class TestQueryIndexValidation:

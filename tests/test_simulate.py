@@ -350,10 +350,13 @@ class TestAuditAdmissibility:
                 assert est.p_hat > 0.999
 
     def test_matches_whole_shard_reference(self, code8, monkeypatch):
-        # a full shard, then a partial one that is a single partial block;
-        # the reference draws each shard's X, U and radii whole.  Nearly
-        # every audited pair answers maybe, so the query points of the live
-        # rows are compared too, bit for bit, with the shards run in order.
+        # a full shard, then a partial one that is a single partial block.
+        # The reference draws each shard's X whole, then, block by block, u
+        # and r for the rows the block keeps: its live rows when at most half
+        # of it is live, else all of them, with the boundary slice on those
+        # rows.  Nearly every audited pair answers maybe, so the query points
+        # of the live rows are compared too, bit for bit, with the shards run
+        # in order.
         monkeypatch.setenv("QUADSIG_THREADS", "1")
         queried = []
 
@@ -376,19 +379,23 @@ class TestAuditAdmissibility:
                     rng = np.random.default_rng(child)
                     count = min(SHARD_SIZE, trials - i * SHARD_SIZE)
                     X = s.draw(rng, (count, n))
-                    U = rng.standard_normal((count, n))
-                    U /= np.linalg.norm(U, axis=1, keepdims=True)
-                    radius = edge * rng.uniform(0.0, 1.0, count) ** (1.0 / n)
-                    nb = max(2, int(count * 0.02))
-                    radius[: nb // 2] = edge * (1.0 - 1e-9)
-                    radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
-                    Y = X + radius[:, None] * U
                     ci, si, er = assign_many(config, code8, X)
-                    maybe = query_many(config, code8, ci, si, er, Y)
-                    dxy = ((X - Y) ** 2).sum(axis=1) / n
-                    hits += int(maybe.sum())
-                    fn += int((~maybe & (dxy <= d)).sum())
-                    live_points.append(Y[~er])
+                    for lo in range(0, count, _BATCH):
+                        block = np.arange(lo, min(lo + _BATCH, count))
+                        live = block[~er[block]]
+                        kept = live if 2 * live.size <= block.size else block
+                        U = rng.standard_normal((kept.size, n))
+                        U /= np.linalg.norm(U, axis=1, keepdims=True)
+                        radius = edge * rng.uniform(0.0, 1.0, kept.size) ** (1.0 / n)
+                        nb = max(2, int(kept.size * 0.02))
+                        radius[: nb // 2] = edge * (1.0 - 1e-9)
+                        radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
+                        Y = X[kept] + radius[:, None] * U
+                        no = ~query_many(config, code8, ci[kept], si[kept], er[kept], Y)
+                        dxy = ((X[kept] - Y) ** 2).sum(axis=1) / n
+                        hits += block.size - int(no.sum())
+                        fn += int((no & (dxy <= d)).sum())
+                        live_points.append(Y[~er[kept]])
                 assert est.p_hat == hits / trials
                 assert est.false_negative_count == fn
                 assert np.array_equal(np.concatenate(queried), np.concatenate(live_points))
@@ -422,7 +429,9 @@ def test_one_shard_peak_memory_at_n40(code40, monkeypatch):
     # basic-mode rows are erased, so a shard keeps only the live ones.  In
     # shape_gain mode almost every row is live, and the blocks kept for the
     # second pass set the peak; with 8,192-row search and query temporaries
-    # it read 20.9 and 28.7 MiB, and with _TILE-row ones 14.3 and 23.2.
+    # it read 20.9 and 28.7 MiB, and with _TILE-row ones 14.3 and 23.2.  The
+    # audit then drew u and r block by block, for the kept rows only, rather
+    # than U for every block and r for the whole shard up front: 15.7 MiB.
     monkeypatch.setenv("QUADSIG_THREADS", "1")
     pair = GaussianPair(1.0, 1.0)
     rate = id_rate(pair, 0.02) + 0.5
@@ -444,7 +453,7 @@ def test_one_shard_peak_memory_at_n40(code40, monkeypatch):
     assert peaks["basic", "estimate"] < 8.0, peaks
     assert peaks["basic", "audit"] < 12.0, peaks
     assert peaks["shape_gain", "estimate"] <= 14.9, peaks
-    assert peaks["shape_gain", "audit"] <= 24.3, peaks
+    assert peaks["shape_gain", "audit"] <= 16.5, peaks
     assert peaks["similarity"] < 20.0, peaks
 
 
