@@ -3,8 +3,8 @@ construction, Monte Carlo simulation, and exponent fitting.
 
 Outputs are CSV with a single '#'-prefixed JSON header carrying the fully
 resolved configuration, so every figure is reproducible from its data file.
-Exit codes: 0 success, 2 usage or parse errors, 3 precondition refusals,
-4 admissibility violations.
+Exit codes: 0 success, 2 usage, parse or file errors, 3 precondition
+refusals, 4 admissibility violations.
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
     except (PreconditionError, DomainError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -3,6 +3,7 @@ admissibility audits, and empirical exponent fits.  `quadsig simulate` and
 robustness_experiment run one per-blocklength loop, `_experiments`.
 
 Trials are split into fixed-size shards; shard i draws its generator from
+SeedSequence(seed, spawn_key=(i,)), which gives the stream of
 SeedSequence(seed).spawn(...)[i], and results merge by summation, so estimates
 are reproducible bit for bit regardless of how many worker threads run them.
 QUADSIG_THREADS caps shard parallelism (default: the usable CPUs).  While more
@@ -12,10 +13,11 @@ covering.py's `_pooled`, which holds the pool, its lock and the BLAS pin; the
 covering build and verify draw their next sample block through it too, and
 pooled runs started from several threads take turns, one at a time.
 
-A shard of an estimate or audit (`_shard`) makes two passes over its rows in
-_BATCH blocks: the first draws X and assigns it, the second draws the query
-points and queries.  Between them a block keeps only the rows that still need
-a y, unless most of its rows do.  An estimate draws every Y row, in the stream
+`_run_sharded` runs each shard of an estimate or audit as one `_shard` call.
+It makes two passes over its rows in _BATCH blocks: the first draws X and
+assigns it, the second draws the query points, y_rows(rng, rows, keep, X),
+and queries.  Between them a block keeps only the rows that still need a y,
+unless most of its rows do.  An estimate draws every Y row, in the stream
 order of a whole draw, so its counts are those of a shard that holds X and Y
 whole; an audit draws its directions and radii for the kept rows only.
 """
@@ -62,7 +64,9 @@ class SourceSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}")
-        _check_real(self.variance, "variance", 0.0)
+        # a uniform draw spans +/- sqrt(3 variance), which must be finite
+        most = np.finfo(float).max / 3 if self.family == "uniform" else math.inf
+        _check_real(self.variance, "variance", 0.0, most)
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.family == "gaussian":
@@ -110,25 +114,25 @@ def _estimate(hits: int, trials: int, false_negatives: int = 0) -> TrialEstimate
     return TrialEstimate(p, trials, lo, hi, false_negatives)
 
 
-def _shard(config, code, count, x_rows, y_rows) -> tuple[int, int]:
+def _shard(config, code, spec_x, y_rows, rng, count) -> tuple[int, int]:
     """The number of a shard's `count` pairs that get "maybe", and the number
     of d-similar pairs that get "no" (false negatives, which must never occur).
 
-    The first pass draws X a _BATCH block at a time, x_rows(rows) giving its
-    next `rows` rows, and assigns each block.  An erased row answers "maybe"
-    whatever its y, so a block of which at most half is live keeps its live
-    rows only.  Otherwise the copy would cost more than it frees, and `keep`
-    is a slice of every row, which keeps the block as drawn.
+    The first pass draws X from spec_x with rng a _BATCH block at a time and
+    assigns each block.  An erased row answers "maybe" whatever its y, so a
+    block of which at most half is live keeps its live rows only.  Otherwise
+    the copy would cost more than it frees, and `keep` is a slice of every
+    row, which keeps the block as drawn.
 
     The second pass takes each block out of the list as it goes, so that its
-    memory can be reused.  y_rows(rows, keep, X) returns the query points of
-    its kept rows X, of a block of `rows` pairs; this pass may overwrite them.
-    d(x, y) counts only where a pair answers "no", the only possible false
-    negative.
+    memory can be reused.  y_rows(rng, rows, keep, X) returns the query points
+    of its kept rows X, of a block of `rows` pairs; this pass may overwrite
+    them.  d(x, y) counts only where a pair answers "no", the only possible
+    false negative.
     """
     blocks = []
     for lo in range(0, count, _BATCH):
-        X = x_rows(min(_BATCH, count - lo))
+        X = spec_x.draw(rng, (min(_BATCH, count - lo), config.n))
         centers, shells, erased = assign_many(config, code, X)
         keep = np.flatnonzero(~erased)
         keep = keep if 2 * keep.size <= X.shape[0] else slice(None)
@@ -138,7 +142,7 @@ def _shard(config, code, count, x_rows, y_rows) -> tuple[int, int]:
     hits, fn = count, 0
     for _ in range(len(blocks)):
         rows, keep, X, centers, shells, erased = blocks.pop(0)
-        Y = y_rows(rows, keep, X)
+        Y = y_rows(rng, rows, keep, X)
         no = ~query_many(config, code, centers, shells, erased, Y)
         # y - x, in Y's memory: it has the bits of -(x - y), so the same squares
         Y -= X
@@ -154,21 +158,21 @@ def sample_pair(
     """One independent (x, y) pair with i.i.d. coordinates; the generator is
     the seed stream, so identical generator states give identical pairs."""
     n = _check_count(n, "n")
-    x = spec_x.draw(rng, n)
-    y = spec_y.draw(rng, n)
-    return x, y
+    return spec_x.draw(rng, n), spec_y.draw(rng, n)
 
 
-def _run_sharded(trials: int, seed: int, worker):
-    """worker(rng, count) -> tuple of summable ints; returns elementwise sums."""
+def _run_sharded(trials: int, seed: int, worker, *args):
+    """worker(*args, rng, count) -> tuple of summable ints; returns their sums
+    over the shards.  Shard i runs min(SHARD_SIZE, trials - i SHARD_SIZE)
+    trials on SeedSequence(seed, spawn_key=(i,)), the stream of
+    SeedSequence(seed).spawn(...)[i]."""
     trials = _check_count(trials, "trials")
     seed = _check_count(seed, "seed", 0)
     num_shards = (trials + SHARD_SIZE - 1) // SHARD_SIZE
-    children = np.random.SeedSequence(seed).spawn(num_shards)
-    sizes = [min(SHARD_SIZE, trials - i * SHARD_SIZE) for i in range(num_shards)]
 
     def run(i):
-        return worker(np.random.default_rng(children[i]), sizes[i])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        return worker(*args, rng, min(SHARD_SIZE, trials - i * SHARD_SIZE))
 
     with _pooled(run, range(num_shards), num_shards) as results:
         return tuple(int(sum(parts)) for parts in zip(*results))
@@ -188,16 +192,12 @@ def estimate_maybe_probability(
     there is a false negative and is counted (it must never occur).
     """
 
-    def worker(rng: np.random.Generator, count: int):
-        # drawing X, then Y, block by block yields the numbers of one draw
-        # of each; every Y row is drawn, so the stream is the whole-draw one
-        return _shard(
-            config, code, count,
-            lambda rows: spec_x.draw(rng, (rows, config.n)),
-            lambda rows, keep, X: spec_y.draw(rng, (rows, config.n))[keep],
-        )
+    # drawing X, then Y, block by block yields the numbers of one draw of
+    # each; every Y row is drawn, so the stream is the whole-draw one
+    def y_rows(rng, rows, keep, X):
+        return spec_y.draw(rng, (rows, config.n))[keep]
 
-    hits, fn = _run_sharded(trials, seed, worker)
+    hits, fn = _run_sharded(trials, seed, _shard, config, code, spec_x, y_rows)
     return _estimate(hits, trials, fn)
 
 
@@ -249,24 +249,19 @@ def audit_admissibility(
     _check_real(boundary_fraction, "boundary_fraction", 0.0, 1.0, "[]")
     edge = math.sqrt(config.n * config.d)
 
-    def worker(rng: np.random.Generator, count: int):
-        def y_rows(rows, keep, X):
-            # u and r for the kept rows only, then y = x + r u in u's memory
-            y = rng.standard_normal(X.shape)
-            y /= np.linalg.norm(y, axis=1, keepdims=True)
-            radius = edge * rng.uniform(0.0, 1.0, len(X)) ** (1.0 / config.n)
-            nb = max(2, int(len(X) * boundary_fraction))
-            radius[: nb // 2] = edge * (1.0 - 1e-9)
-            radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
-            y *= radius[:, None]
-            y += X
-            return y
+    def y_rows(rng, rows, keep, X):
+        # u and r for the kept rows only, then y = x + r u in u's memory
+        y = rng.standard_normal(X.shape)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        radius = edge * rng.uniform(0.0, 1.0, len(X)) ** (1.0 / config.n)
+        nb = max(2, int(len(X) * boundary_fraction))
+        radius[: nb // 2] = edge * (1.0 - 1e-9)
+        radius[nb // 2 : nb] = edge * (1.0 + 1e-9)
+        y *= radius[:, None]
+        y += X
+        return y
 
-        return _shard(
-            config, code, count, lambda rows: spec_x.draw(rng, (rows, config.n)), y_rows
-        )
-
-    hits, fn = _run_sharded(trials, seed, worker)
+    hits, fn = _run_sharded(trials, seed, _shard, config, code, spec_x, y_rows)
     return _estimate(hits, trials, fn)
 
 
@@ -310,8 +305,12 @@ def _experiments(
     yielding (n, config, code, estimate).
 
     The k-th covering is seeded with seed + 1000 (k + 1) and its trials with
-    seed + k, so a run is reproducible from `seed` alone.
+    seed + k, so a run is reproducible from `seed` alone.  The seed, the
+    trial count and every n are checked before the first covering is built.
     """
+    _check_count(seed, "seed", 0)
+    _check_count(trials, "trials")
+    n_list = [_check_count(n, "n") for n in n_list]
     for k, n in enumerate(n_list):
         plan = plan_scheme(pair, d, rate, n, epsilon, mode=mode)
         code = build_covering(
@@ -347,7 +346,6 @@ def robustness_experiment(
     if not math.isclose(spec_y.variance, pair.sigma_y2, rel_tol=1e-12):
         raise PreconditionError("spec_y variance must match pair.sigma_y2")
     _check_rate(pair, d, target_rate)
-    _check_count(seed, "seed", 0)
     experiments = _experiments(
         pair, d, target_rate, n_list, spec_x, spec_y, trials, seed, epsilon, mode,
         audit_samples,

@@ -275,6 +275,18 @@ class TestSimulateAndFit:
         assert "argument --seed: expected an integer >= 0, got -1" in err
         assert not path.exists()
 
+    def test_bad_n_refused_before_any_build(self, capsys, monkeypatch):
+        # n = 0 late in the list was refused only after the n = 8 covering
+        # was built and estimated
+        import quadsig.simulate as simulate
+
+        built = []
+        monkeypatch.setattr(simulate, "build_covering", lambda *a: built.append(a))
+        rc, out, err = run(capsys, "simulate", "--n-list", "8,0", "--rate", "3",
+                           "--d", "1.5", "--trials", "100", "--seed", "1")
+        assert rc == 2 and out == "" and built == []
+        assert err.startswith("error: n must be an integer >= 1")
+
     def test_zero_trials_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n-list", "8", "--rate", "3", "--d", "1.5",
@@ -338,6 +350,28 @@ class TestSimulateAndFit:
                          "--out", str(tmp_path / "fn.csv"))
         assert rc == 4
         assert "admissibility" in err
+
+
+class TestFileErrors:
+    # a file that cannot be read or written is a usage error, not a traceback
+    def test_missing_input(self, capsys, tmp_path):
+        path = tmp_path / "missing.csv"
+        rc, out, err = run(capsys, "fit", "--input", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "dir.csv"
+        commands = (
+            ("rate", "--sigma-x2", "1", "--sigma-y2", "1", "--d", "1.5"),
+            ("cover", "--n", "2", "--sigma2", "1", "--d0", "0.5", "--seed", "7",
+             "--audit-samples", "2000"),
+        )
+        for argv in commands:
+            rc, _, err = run(capsys, *argv, "--out", str(path))
+            assert rc == 2, argv
+            assert err.startswith("error: ") and str(path) in err
+            assert not path.parent.exists()
 
 
 class TestGoldenOutputs:

@@ -73,6 +73,8 @@ REFUSED = [
     ("audit boundary_fraction=-1",
      lambda: q.audit_admissibility(CONFIG, CODE, GAUSS, 100, 3, boundary_fraction=-1),
      ValueError),
+    ("SourceSpec uniform variance=1e308, 3 * variance overflows",
+     lambda: q.SourceSpec("uniform", 1e308), ValueError),
     ("cap_fraction_bounds n=2.5",
      lambda: q.cap_fraction_bounds(0.3, 2.5), DomainError),
     ("chi_square_exponent nan", lambda: q.chi_square_exponent(math.nan), ValueError),

@@ -153,6 +153,25 @@ class TestShardThreads:
         assert _run_sharded(2 * SHARD_SIZE, 1, worker) == (2 * SHARD_SIZE,)
         assert seen == [2, 2, 2]
 
+    def test_shard_seeds_and_sizes(self, monkeypatch):
+        # shard i runs on SeedSequence(seed).spawn(...)[i]'s stream and gets
+        # the trials left, at most SHARD_SIZE: four full shards and a partial
+        # fifth, at each thread count.  The product pairs each size with its
+        # shard's stream.
+        def worker(rng, count):
+            draw = int(rng.integers(2**32))
+            return count, draw, count * draw
+
+        sizes = [SHARD_SIZE] * 4 + [7]
+        draws = [
+            int(np.random.default_rng(child).integers(2**32))
+            for child in np.random.SeedSequence(2024).spawn(5)
+        ]
+        want = (sum(sizes), sum(draws), sum(c * x for c, x in zip(sizes, draws)))
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("QUADSIG_THREADS", threads)
+            assert _run_sharded(4 * SHARD_SIZE + 7, 2024, worker) == want
+
     def test_failure_waits_for_running_shards(self, blas_get, monkeypatch):
         # shard 0 raises at once while shard 1 still runs: the error comes out
         # only after shard 1 is done, with BLAS restored and the pool free
@@ -584,6 +603,21 @@ class TestRobustnessExperiment:
                 pair, 0.02, 1.0, [8], SourceSpec("uniform", 2.0),
                 SourceSpec("uniform", 1.0), 100, 1,
             )
+
+    @pytest.mark.parametrize("trials, n_list", [
+        (0, [8]), (2.5, [8]), (100, [8, 0]), (100, [8, 2.5]),
+    ])
+    def test_bad_counts_refused_before_any_build(self, monkeypatch, trials, n_list):
+        # a bad trial count or a bad n late in the list was refused only after
+        # the n = 8 covering was built
+        built = []
+        monkeypatch.setattr(simulate, "build_covering", lambda *a: built.append(a))
+        u = SourceSpec("uniform", 1.0)
+        with pytest.raises(ValueError):
+            robustness_experiment(
+                GaussianPair(1.0, 1.0), 0.02, 1.0, n_list, u, u, trials, 1
+            )
+        assert built == []
 
     def test_rate_below_id_rate_rejected(self):
         pair = GaussianPair(1.0, 1.0)
